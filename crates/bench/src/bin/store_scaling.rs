@@ -26,9 +26,7 @@
 //! ```
 
 use toc_bench::{arg, fmt_duration, mb_per_s, sweep_store, Table};
-use toc_data::store::{
-    IoEngineKind, MiniBatchStore, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::Scheme;
 
@@ -61,7 +59,8 @@ fn main() {
         let base = StoreConfig::new(scheme, batch_rows, 0).with_disk_mbps(mbps);
 
         // (a) single-file store: one device clock for every reader.
-        let store = MiniBatchStore::build(&ds.x, &ds.labels, &base).expect("store build");
+        let cfg = base.clone().with_shards(1);
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
         let spill_mb = store.spilled_bytes() as f64 / 1e6;
         let seq = sweep_store(&store, 1);
         let par = sweep_store(&store, threads);

@@ -9,7 +9,7 @@
 //! Figures 9–10.
 
 use std::time::{Duration, Instant};
-use toc_data::store::{MiniBatchStore, StoreConfig};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::Dataset;
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
@@ -241,11 +241,11 @@ pub fn end_to_end(
     hidden: (usize, usize),
     disk_mbps: f64,
 ) -> EndToEndResult {
-    let mut config = StoreConfig::new(scheme, 250, memory_budget);
+    let mut config = StoreConfig::new(scheme, 250, memory_budget).with_shards(1);
     if disk_mbps > 0.0 {
         config = config.with_disk_mbps(disk_mbps);
     }
-    let store = MiniBatchStore::build(&ds.x, &ds.labels, &config).expect("store build");
+    let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
     let trainer = Trainer::new(MgdConfig {
         epochs,
         lr: 0.05,
@@ -381,9 +381,8 @@ mod tests {
     #[test]
     fn sweep_store_reads_every_spilled_batch_once() {
         let ds = generate_preset(DatasetPreset::CensusLike, 500, 9);
-        let store =
-            MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(Scheme::Toc, 100, 0))
-                .expect("store build");
+        let config = StoreConfig::new(Scheme::Toc, 100, 0).with_shards(1);
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
         let d = sweep_store(&store, 4);
         assert!(d > Duration::ZERO);
         assert_eq!(

@@ -214,6 +214,14 @@ fn parse_scheme(s: &str) -> Result<Scheme, String> {
     })
 }
 
+/// Read a numeric CSV (header auto-detected and dropped) into a dense
+/// matrix through the data crate's reader.
+fn read_csv_matrix(path: &Path) -> Result<DenseMatrix, String> {
+    let (rows, cols, data, _) =
+        toc_data::csv::read_all(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(DenseMatrix::from_vec(rows, cols, data))
+}
+
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     use toc_data::synth::{generate_preset, DatasetPreset};
     let preset_name = opt(args, "--preset").ok_or("--preset required")?;
@@ -361,7 +369,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
         Some(v) => return Err(format!("--container-version must be 1 or 2, got {v:?}")),
     };
     let opts = encode_options(args)?;
-    let (m, _) = csv::read_matrix(Path::new(input))?;
+    let m = read_csv_matrix(Path::new(input))?;
     let scheme = if scheme_arg.eq_ignore_ascii_case("auto") {
         // Pick on the first batch: CLA is judged by its planner estimate,
         // the others by an encode probe of one batch.
@@ -578,7 +586,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         .map(|s| s.parse().unwrap_or(250))
         .unwrap_or(250);
     let opts = encode_options(args)?;
-    let (m, _) = csv::read_matrix(Path::new(input))?;
+    let m = read_csv_matrix(Path::new(input))?;
     let batch = m.slice_rows(0, m.rows().min(batch_rows));
     let den = batch.den_size_bytes();
     let v: Vec<f64> = (0..batch.cols())
@@ -804,7 +812,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let full = if from_container {
         Container::read(Path::new(input))?.decode()?
     } else {
-        csv::read_matrix(Path::new(input))?.0
+        read_csv_matrix(Path::new(input))?
     };
     if full.cols() < 2 {
         return Err("need at least one feature column plus the label column".into());
@@ -1073,7 +1081,7 @@ fn train_follow(
     );
     // The follower saw the file go idle, so it is complete now: re-read
     // it for the final training-error evaluation over every row.
-    let (full, _) = csv::read_matrix(input)?;
+    let full = read_csv_matrix(input)?;
     let mut x = DenseMatrix::zeros(full.rows(), d);
     let mut y = Vec::with_capacity(full.rows());
     for r in 0..full.rows() {
@@ -1263,7 +1271,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let full = if from_container {
         Container::read(Path::new(input))?.decode()?
     } else {
-        csv::read_matrix(Path::new(input))?.0
+        read_csv_matrix(Path::new(input))?
     };
     if full.cols() < 2 {
         return Err("need at least one feature column plus the label column".into());
@@ -1471,7 +1479,7 @@ mod tests {
         cmd_compress(&[csv_in.arg(), tocz.arg(), "--batch-rows".into(), "32".into()]).unwrap();
         cmd_inspect(&[tocz.arg()]).unwrap();
         cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-        let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
+        let back = crate::read_csv_matrix(csv_out.path()).unwrap();
         assert_eq!(back, m);
     }
 
@@ -1495,7 +1503,7 @@ mod tests {
         ])
         .unwrap();
         cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-        assert_eq!(crate::csv::read_matrix(csv_out.path()).unwrap().0, m);
+        assert_eq!(crate::read_csv_matrix(csv_out.path()).unwrap(), m);
         // Legacy v1 output still round-trips (inspect + decompress).
         cmd_compress(&[
             csv_in.arg(),
@@ -1508,7 +1516,7 @@ mod tests {
         .unwrap();
         cmd_inspect(&[tocz.arg()]).unwrap();
         cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-        assert_eq!(crate::csv::read_matrix(csv_out.path()).unwrap().0, m);
+        assert_eq!(crate::read_csv_matrix(csv_out.path()).unwrap(), m);
         assert!(cmd_compress(&[
             csv_in.arg(),
             tocz.arg(),
@@ -1550,8 +1558,8 @@ mod tests {
                 "3".into(),
             ])
             .unwrap();
-            let (full, _) = crate::csv::read_matrix(full_out.path()).unwrap();
-            let (part, _) = crate::csv::read_matrix(part_out.path()).unwrap();
+            let full = crate::read_csv_matrix(full_out.path()).unwrap();
+            let part = crate::read_csv_matrix(part_out.path()).unwrap();
             assert_eq!(part.rows(), 33, "v{version}");
             for r in 0..33 {
                 assert_eq!(part.row(r), full.row(r + 20), "v{version} row {r}");
@@ -1655,7 +1663,7 @@ mod tests {
             args.extend(extra);
             cmd_compress(&args).unwrap();
             cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-            let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
+            let back = crate::read_csv_matrix(csv_out.path()).unwrap();
             assert_eq!(back, m);
         }
         assert!(encode_options(&["--cla-planner".into(), "nope".into()]).is_err());

@@ -528,4 +528,61 @@ mod tests {
         std::fs::remove_file(&ragged).ok();
         std::fs::remove_file(&fine).ok();
     }
+
+    #[test]
+    fn stream_rows_detects_header_and_visits_every_row() {
+        let p = tmp("stream.csv");
+        std::fs::write(&p, "a,b\n1,2\n3,4\n5,6\n").unwrap();
+        let mut seen = Vec::new();
+        let (rows, cols, header) = stream_rows(&p, &mut |i, row| {
+            seen.push((i, row.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((rows, cols), (3, 2));
+        assert_eq!(header.unwrap(), vec!["a", "b"]);
+        assert_eq!(
+            seen,
+            vec![
+                (0, vec![1.0, 2.0]),
+                (1, vec![3.0, 4.0]),
+                (2, vec![5.0, 6.0]),
+            ]
+        );
+        // An all-numeric first line is data, not a header.
+        std::fs::write(&p, "1,2\n3,4\n").unwrap();
+        let (rows, cols, data, header) = read_all(&p).unwrap();
+        assert_eq!((rows, cols, data), (2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        assert!(header.is_none());
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// Parse errors name the offending row; the CLI prints them verbatim.
+    fn parse_error(name: &str, contents: &str) -> String {
+        let p = tmp(name);
+        std::fs::write(&p, contents).unwrap();
+        let err = read_all(&p).unwrap_err();
+        std::fs::remove_file(&p).ok();
+        match err {
+            CsvError::Parse(m) => m,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ragged_rows_rejected() {
+        let m = parse_error("ragged-row.csv", "1,2,3\n4,5\n");
+        assert_eq!(m, "row 2 has 2 fields, expected 3");
+    }
+
+    #[test]
+    fn bad_number_rejected() {
+        let m = parse_error("bad-number.csv", "1,2\n3,x\n");
+        assert!(m.starts_with("row 2: bad number \"x\""), "{m}");
+    }
+
+    #[test]
+    fn empty_rejected() {
+        assert_eq!(parse_error("empty.csv", ""), "empty CSV");
+    }
 }

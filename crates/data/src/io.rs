@@ -130,6 +130,18 @@ impl SpillFile {
             f.write_all(buf)
         }
     }
+
+    /// Flush written data to the device (`fsync`).
+    pub(crate) fn sync_all(&self) -> std::io::Result<()> {
+        #[cfg(unix)]
+        {
+            self.file.sync_all()
+        }
+        #[cfg(not(unix))]
+        {
+            lock(&self.file).sync_all()
+        }
+    }
 }
 
 /// Simulated-bandwidth clock for one spill device (shard). Readers reserve
@@ -219,10 +231,6 @@ pub(crate) struct SpillDevice {
 }
 
 impl SpillDevice {
-    pub(crate) fn new(file: File) -> Self {
-        Self::with_profile(file, None)
-    }
-
     pub(crate) fn with_profile(file: File, profile: Option<DeviceProfile>) -> Self {
         Self {
             file: SpillFile::new(file),
@@ -1567,7 +1575,10 @@ mod tests {
             ));
             offsets[*shard] += bytes.len() as u64;
         }
-        let devices = files.into_iter().map(SpillDevice::new).collect();
+        let devices = files
+            .into_iter()
+            .map(|f| SpillDevice::with_profile(f, None))
+            .collect();
         (Arc::new(IoShards::new(devices, None)), layout, paths)
     }
 
@@ -1903,7 +1914,7 @@ mod tests {
             .read(true)
             .open(&path)
             .unwrap();
-        let stable = SpillDevice::new(f2);
+        let stable = SpillDevice::with_profile(f2, None);
         assert_eq!(stable.current_mbps(Some(42.0)), Some(42.0));
         stable.degrade_after_read();
         assert_eq!(stable.current_mbps(None), None);

@@ -1,4 +1,4 @@
-//! Memory-budgeted mini-batch stores with real disk spill.
+//! Memory-budgeted mini-batch store with real disk spill.
 //!
 //! Reproduces the system regime behind the paper's end-to-end results
 //! (Figure 1A/D, §5.3): encoded mini-batches live in memory until a
@@ -7,24 +7,24 @@
 //! format's batches fit in the budget is exactly what separates TOC from
 //! the baselines on the large-scale runs.
 //!
-//! Two providers implement the regime:
-//!
-//! * [`MiniBatchStore`] — single spill file. The read path is positional
-//!   ([`crate::io::SpillFile`]): concurrent visitors never serialize on a
-//!   shared file cursor.
-//! * [`ShardedSpillStore`] — stripes spilled batches across N shard files
-//!   ([`StoreConfig::with_shards`]), reads them lock-free, and optionally
-//!   runs a background prefetch pipeline ([`StoreConfig::with_prefetch`])
-//!   that keeps upcoming batches decoded while the trainer computes on
-//!   the current one. With [`StoreConfig::with_io`] the pipeline runs on
-//!   an async [`SpillIo`] engine — submissions and completions split, so
-//!   K reads stay in flight per shard while decode workers parse
-//!   completed buffers; without it each prefetch worker reads
-//!   synchronously (read latency serializes with decode per worker).
+//! [`ShardedSpillStore`] implements the regime. Every batch is one entry
+//! of a single append-only segment table: resident or on disk, built up
+//! front ([`ShardedSpillStore::build`]) or appended by streaming ingest
+//! ([`ShardedSpillStore::append_sealed`]). Spilled batches are laid out
+//! across N shard files ([`StoreConfig::with_shards`]; one shard is the
+//! classic single spill file) and read with positional IO
+//! ([`crate::io::SpillFile`]), so concurrent visitors never serialize on
+//! a shared file cursor. An optional prefetch pipeline
+//! ([`StoreConfig::with_prefetch`]) keeps upcoming build-time batches
+//! decoded while the trainer computes on the current one. With
+//! [`StoreConfig::with_io`] the pipeline runs on an async [`SpillIo`]
+//! engine — submissions and completions split, so K reads stay in flight
+//! per shard while decode workers parse completed buffers; without it
+//! each prefetch worker reads synchronously (read latency serializes with
+//! decode per worker).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -153,7 +153,7 @@ pub struct StoreConfig {
     /// many appended segments are sealed but not yet consumed by any
     /// visitor, accumulating the stall in
     /// [`IoStats::ingest_stall_ns`]. `0` (default) never blocks — the
-    /// ext-entry table grows as fast as the producer can encode.
+    /// segment table grows as fast as the producer can encode.
     pub max_pending: usize,
 }
 
@@ -283,10 +283,19 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Pick the spill directory: the configured one, or a fresh per-store
-/// directory under the OS temp dir (returned as owned for cleanup).
-fn resolve_spill_dir(config: &StoreConfig) -> (PathBuf, Option<PathBuf>) {
-    match &config.spill_dir {
+/// Create `n` fresh, empty shard files in the spill directory — and no
+/// directory at all when `n == 0`. The directory is the configured one,
+/// or a fresh per-store one under the OS temp dir, which is returned as
+/// owned (for cleanup).
+#[allow(clippy::type_complexity)]
+fn create_shards(
+    config: &StoreConfig,
+    n: usize,
+) -> std::io::Result<(Vec<(File, PathBuf)>, Option<PathBuf>)> {
+    if n == 0 {
+        return Ok((Vec::new(), None));
+    }
+    let (dir, owns) = match &config.spill_dir {
         Some(d) => (d.clone(), None),
         None => {
             let d = std::env::temp_dir().join(format!(
@@ -296,228 +305,34 @@ fn resolve_spill_dir(config: &StoreConfig) -> (PathBuf, Option<PathBuf>) {
             ));
             (d.clone(), Some(d))
         }
-    }
-}
-
-/// First pass shared by both stores: encode every batch and decide memory
-/// vs. disk, preserving the original batch order (shuffle-once semantics).
-enum Pending {
-    Mem(AnyBatch),
-    Disk(Vec<u8>),
-}
-
-#[allow(clippy::type_complexity)]
-fn encode_batches(
-    x: &DenseMatrix,
-    labels: &[f64],
-    config: &StoreConfig,
-) -> (Vec<(Pending, Vec<f64>)>, usize, bool) {
-    assert_eq!(x.rows(), labels.len());
-    let mut pending: Vec<(Pending, Vec<f64>)> = Vec::new();
-    let mut memory_bytes = 0usize;
-    let mut any_spilled = false;
-    let mut start = 0usize;
-    while start < x.rows() {
-        let end = (start + config.batch_rows).min(x.rows());
-        let dense = x.slice_rows(start, end);
-        let batch = config.scheme.encode_with(&dense, &config.encode);
-        let y = labels[start..end].to_vec();
-        let size = batch.size_bytes();
-        if memory_bytes + size <= config.memory_budget {
-            memory_bytes += size;
-            pending.push((Pending::Mem(batch), y));
-        } else {
-            any_spilled = true;
-            pending.push((Pending::Disk(batch.to_bytes()), y));
-        }
-        start = end;
-    }
-    (pending, memory_bytes, any_spilled)
-}
-
-/// Read one spilled batch through the shared device context and parse it.
-/// Panics on IO failure or corrupt bytes — the synchronous visit path
-/// surfaces spill corruption loudly instead of training on garbage.
-fn read_parse(io: &IoShards, shard: usize, offset: u64, len: usize, buf: &mut Vec<u8>) -> AnyBatch {
-    io.read_range(shard, offset, len, buf)
-        .expect("read spill file");
-    Scheme::from_bytes(buf).expect("spill data corrupted")
-}
-
-// ---------------------------------------------------------------------------
-// MiniBatchStore: the single-file store.
-
-enum Location {
-    Memory(AnyBatch),
-    Disk { offset: u64, len: usize },
-}
-
-/// The single-file out-of-core mini-batch store. Implements
-/// [`toc_ml::mgd::BatchProvider`], so it plugs directly into the trainer.
-/// The read path is positional: concurrent visitors never contend on a
-/// file cursor or lock (unix; see [`crate::io::SpillFile`]).
-pub struct MiniBatchStore {
-    scheme: Scheme,
-    features: usize,
-    entries: Vec<(Location, Vec<f64>)>,
-    io: Arc<IoShards>,
-    spill_path: Option<PathBuf>,
-    owns_dir: Option<PathBuf>,
-    memory_bytes: usize,
-    spilled_bytes: usize,
-}
-
-impl MiniBatchStore {
-    /// Encode `x` into mini-batches under `config`, spilling past the
-    /// memory budget. `labels` follow the `toc-ml` convention.
-    pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
-        let (pending, memory_bytes, any_spilled) = encode_batches(x, labels, config);
-
-        // Second pass: lay spilled batches out in the spill file, keeping
-        // entry order aligned with batch order.
-        let mut entries = Vec::with_capacity(pending.len());
-        let (devices, spill_path, owns_dir, spilled_bytes) = if !any_spilled {
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Location::Memory(b), y)),
-                    Pending::Disk(_) => unreachable!(),
-                }
-            }
-            (Vec::new(), None, None, 0)
-        } else {
-            let (dir, owns) = resolve_spill_dir(config);
-            fs::create_dir_all(&dir)?;
-            // Per-store id in the name: two stores sharing an explicit
-            // spill_dir (and scheme) must not truncate or unlink each
-            // other's live spill file.
+    };
+    fs::create_dir_all(&dir)?;
+    // Per-store id in the name: two stores sharing an explicit spill_dir
+    // (and scheme) must not truncate or unlink each other's shard files.
+    let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
+    let shards = (0..n)
+        .map(|s| {
             let path = dir.join(format!(
-                "spill-{}-{}.bin",
+                "spill-{}-{}-s{}.bin",
                 config.scheme.tag(),
-                NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+                store_id,
+                s
             ));
-            let mut f = OpenOptions::new()
+            let f = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .read(true)
                 .truncate(true)
                 .open(&path)?;
-            let mut offset = 0u64;
-            let mut total = 0usize;
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Location::Memory(b), y)),
-                    Pending::Disk(bytes) => {
-                        f.write_all(&bytes)?;
-                        entries.push((
-                            Location::Disk {
-                                offset,
-                                len: bytes.len(),
-                            },
-                            y,
-                        ));
-                        offset += bytes.len() as u64;
-                        total += bytes.len();
-                    }
-                }
-            }
-            f.sync_all()?;
-            (vec![SpillDevice::new(f)], Some(path), owns, total)
-        };
-
-        Ok(Self {
-            scheme: config.scheme,
-            features: x.cols(),
-            entries,
-            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
-            spill_path,
-            owns_dir,
-            memory_bytes,
-            spilled_bytes,
+            Ok((f, path))
         })
-    }
-
-    /// Number of batches kept in memory.
-    pub fn in_memory_batches(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|(l, _)| matches!(l, Location::Memory(_)))
-            .count()
-    }
-
-    /// Number of batches on disk.
-    pub fn spilled_batches(&self) -> usize {
-        self.entries.len() - self.in_memory_batches()
-    }
-
-    /// Bytes of encoded batches resident in memory.
-    pub fn memory_bytes(&self) -> usize {
-        self.memory_bytes
-    }
-
-    /// Bytes of encoded batches on disk.
-    pub fn spilled_bytes(&self) -> usize {
-        self.spilled_bytes
-    }
-
-    /// Total encoded footprint.
-    pub fn total_bytes(&self) -> usize {
-        self.memory_bytes + self.spilled_bytes
-    }
-
-    /// The scheme this store encodes with.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Cumulative IO statistics.
-    pub fn stats(&self) -> &IoStats {
-        &self.io.stats
-    }
-
-    fn read_disk(&self, offset: u64, len: usize) -> AnyBatch {
-        SYNC_SPILL_BUF.with(|cell| read_parse(&self.io, 0, offset, len, &mut cell.borrow_mut()))
-    }
-}
-
-impl BatchProvider for MiniBatchStore {
-    fn num_batches(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn num_features(&self) -> usize {
-        self.features
-    }
-
-    fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
-        let (loc, labels) = &self.entries[idx];
-        match loc {
-            Location::Memory(b) => f(b, labels),
-            Location::Disk { offset, len } => {
-                let b = self.read_disk(*offset, *len);
-                f(&b, labels);
-            }
-        }
-    }
-}
-
-impl Drop for MiniBatchStore {
-    fn drop(&mut self) {
-        // Best-effort cleanup of the spill artifacts we created. Close
-        // the spill file first: fields drop only after this body, and the
-        // portable (non-unix) path cannot unlink a file that is still
-        // open.
-        self.io = Arc::new(IoShards::new(Vec::new(), None));
-        if let Some(p) = &self.spill_path {
-            let _ = fs::remove_file(p);
-        }
-        if let Some(d) = &self.owns_dir {
-            let _ = fs::remove_dir(d);
-        }
-    }
+        .collect::<std::io::Result<_>>()?;
+    Ok((shards, owns))
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSpillStore: striped shard files + background prefetch pipeline.
+// ShardedSpillStore: one segment table over N shard files, plus the
+// background prefetch pipeline.
 
 /// Where a spilled batch lives.
 #[derive(Clone, Copy, Debug)]
@@ -527,18 +342,49 @@ struct DiskLoc {
     len: usize,
 }
 
-enum Slot {
+/// Where a segment's encoded batch lives.
+enum Body {
     Memory(AnyBatch),
-    /// Spilled: the index into `Inner::locs`/`Inner::visits` (spill ids
-    /// are assigned in entry order, so `Inner::spilled_order[id]` is this
-    /// entry's index). The location itself lives behind a lock because
-    /// adaptive placement repoints it between epochs.
-    Disk(usize),
+    /// Spilled. The location sits behind a lock because adaptive
+    /// placement repoints it between epochs (the bytes never change).
+    Disk(RwLock<DiskLoc>),
 }
 
-/// Per-shard bookkeeping that is not part of the read path.
-struct ShardMeta {
-    path: PathBuf,
+/// One batch of the store's segment table.
+pub(crate) struct Segment {
+    body: Body,
+    pub(crate) labels: Vec<f64>,
+    /// Visits of the spilled body — the hotness signal the adaptive
+    /// planner and the tenant cache rank batches by.
+    visits: AtomicU64,
+}
+
+impl Segment {
+    fn new(body: Body, labels: Vec<f64>) -> Self {
+        Self {
+            body,
+            labels,
+            visits: AtomicU64::new(0),
+        }
+    }
+
+    fn disk_loc(&self) -> Option<DiskLoc> {
+        match &self.body {
+            Body::Disk(loc) => Some(*rlock(loc)),
+            Body::Memory(_) => None,
+        }
+    }
+
+    /// Current `(shard, len)` of a spilled segment, `None` for a resident
+    /// one (the shard may change across adaptive rebalances).
+    pub(crate) fn spill_extent(&self) -> Option<(usize, usize)> {
+        self.disk_loc().map(|loc| (loc.shard, loc.len))
+    }
+
+    /// Bump the visit counter and return the new count.
+    pub(crate) fn record_visit(&self) -> u64 {
+        self.visits.fetch_add(1, Ordering::Relaxed) + 1
+    }
 }
 
 /// Placement counters for the adaptive planner (exposed through
@@ -553,54 +399,31 @@ struct PlacementStats {
     migrated_bytes: AtomicU64,
 }
 
-/// A segment appended to a *live* store by the streaming-ingest path
-/// ([`ShardedSpillStore::append_sealed`]). Appended entries live outside
-/// the immutable build-time tables (`Inner::entries` / `Inner::visits` /
-/// `Inner::spilled_order`), which are read lock-free by the prefetch
-/// pipeline and must never reallocate under a reader. Each ext entry is
-/// `Arc`-shared so a visitor clones it out of a brief table read lock and
-/// decodes without holding any lock; the location sits behind its own
-/// lock because the adaptive migrator repoints appended segments too.
-struct ExtEntry {
-    loc: RwLock<DiskLoc>,
-    labels: Vec<f64>,
-    /// Hotness signal for the adaptive planner, parallel to
-    /// `Inner::visits` for build-time entries.
-    visits: AtomicU64,
-}
-
 /// State shared between the store handle and the prefetch workers.
 struct Inner {
     scheme: Scheme,
     features: usize,
-    entries: Vec<(Slot, Vec<f64>)>,
-    /// Indices of the disk-resident entries, ascending — the cyclic orbit
-    /// the prefetch lookahead walks (a store can hold arbitrarily many
-    /// in-memory batches between spilled ones; scanning `entries` for the
-    /// next spilled index under the prefetch lock would be O(n)).
-    spilled_order: Vec<usize>,
-    /// Current location of each spilled batch, by spill id. Written only
-    /// by [`ShardedSpillStore::rebalance`]; every reader takes a brief
-    /// read lock (cheap next to the file IO it precedes).
-    locs: RwLock<Vec<DiskLoc>>,
-    /// Per-spill-id visit counts — the hotness signal the adaptive
-    /// planner ranks batches by.
-    visits: Vec<AtomicU64>,
-    /// Segments appended after build by streaming ingest, in append
-    /// order. Readers may only index below the `sealed` watermark.
-    ext: RwLock<Vec<Arc<ExtEntry>>>,
-    /// Visibility watermark for `ext`: bumped with `Release` only after a
-    /// segment's bytes are fully in its shard file *and* its entry is
-    /// pushed, so any index below the watermark (loaded with `Acquire`)
-    /// resolves to completely-written, decodable bytes.
+    /// The segment table in batch order: build-time segments, then every
+    /// appended one. Append-only, so an index never changes meaning.
+    /// Visitors clone a segment out of a brief read lock and do their IO
+    /// and decode lock-free.
+    segments: RwLock<Vec<Arc<Segment>>>,
+    /// Visibility watermark and [`BatchProvider::num_batches`]: bumped
+    /// with `Release` only after a segment's bytes are fully in its shard
+    /// file *and* the segment is in the table, so any index below the
+    /// watermark (loaded with `Acquire`) resolves to completely-written,
+    /// decodable bytes.
     sealed: AtomicUsize,
-    shard_meta: Vec<ShardMeta>,
-    /// Streaming-append state (cursors, sequence, byte total). Doubles as
-    /// the placement mutation lock: rebalance and streaming-ingest
-    /// appends hold it end to end, so plans and cursor bumps never
-    /// interleave — and because the sequence number lives *inside* the
-    /// mutex, two racing appenders serialize instead of interleaving
-    /// sequence numbers (the old unsynchronized `sealed` pre-read).
+    /// Build-time segments: the table length when `build` returned (0 for
+    /// a streaming store, resumed or not). Segments at or past `base` were
+    /// appended through [`ShardedSpillStore::append_sealed`].
+    base: usize,
+    shard_paths: Vec<PathBuf>,
+    /// Per-shard append cursors and the appended-byte total. Doubles as
+    /// the placement mutation lock: rebalance and appends hold it end to
+    /// end, so plans and cursor bumps never interleave — and `sealed`
+    /// only moves under it, so two racing appenders serialize instead of
+    /// interleaving indices.
     append: Mutex<AppendState>,
     /// Exclusive [`crate::StoreIngest`] registration: one structured
     /// ingest driver at a time (raw `append_sealed` calls stay legal and
@@ -608,9 +431,9 @@ struct Inner {
     appender_active: std::sync::atomic::AtomicBool,
     /// Bounded sealed-chunk budget (`0` = unbounded).
     max_pending: usize,
-    /// Consumed watermark for backpressure: the highest appended index
-    /// any visitor has finished reading, plus one. `append_sealed` blocks
-    /// while `sealed - consumed >= max_pending`.
+    /// Consumed watermark for backpressure: one past the highest batch
+    /// index any visitor has finished reading, never below `base`.
+    /// `append_sealed` blocks while `sealed - consumed >= max_pending`.
     consumed: Mutex<usize>,
     /// Wakes a blocked producer when a visitor advances `consumed`.
     consumed_cv: Condvar,
@@ -766,36 +589,127 @@ impl StoreCheckpoint {
     }
 }
 
-/// Mutable streaming-append state, all behind one mutex so a stats
-/// snapshot can never observe `bytes` ahead of the sealed count.
+/// Mutable append state, behind one mutex with the `sealed` bumps so a
+/// stats snapshot can never observe `bytes` ahead of the sealed count.
 struct AppendState {
     /// Per-shard append cursors (current file length).
     cursors: Vec<u64>,
-    /// Segments fully appended (authoritative; `Inner::sealed` republishes
-    /// it with `Release` for the lock-free visibility check).
-    seq: usize,
-    /// Encoded bytes across those `seq` segments.
+    /// Encoded bytes across the appended segments (`base..sealed`).
     bytes: u64,
 }
 
 impl Inner {
-    fn disk_loc(&self, idx: usize) -> Option<DiskLoc> {
-        match &self.entries[idx].0 {
-            Slot::Disk(id) => Some(rlock(&self.locs)[*id]),
-            Slot::Memory(_) => None,
+    /// The one place a store's shared state is assembled: wrap the shard
+    /// files as devices (per-shard profiles cycle when shorter than the
+    /// shard count; the fault plan's win over the config's) around an
+    /// empty segment table.
+    fn new(
+        features: usize,
+        config: &StoreConfig,
+        shards: Vec<(File, PathBuf)>,
+        cursors: Vec<u64>,
+    ) -> Self {
+        let profiles: &[DeviceProfile] = config
+            .fault
+            .as_ref()
+            .map(|f| f.device_profiles.as_slice())
+            .filter(|p| !p.is_empty())
+            .unwrap_or(&config.shard_profiles);
+        let (devices, shard_paths): (Vec<SpillDevice>, Vec<PathBuf>) = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, (f, path))| {
+                let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
+                (SpillDevice::with_profile(f, profile), path)
+            })
+            .unzip();
+        Self {
+            scheme: config.scheme,
+            features,
+            segments: RwLock::new(Vec::new()),
+            sealed: AtomicUsize::new(0),
+            base: 0,
+            shard_paths,
+            append: Mutex::new(AppendState { cursors, bytes: 0 }),
+            appender_active: std::sync::atomic::AtomicBool::new(false),
+            max_pending: config.max_pending,
+            consumed: Mutex::new(0),
+            consumed_cv: Condvar::new(),
+            peak_pending: AtomicUsize::new(0),
+            placement_stats: PlacementStats::default(),
+            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
         }
     }
 
+    /// Segment `idx` (below the `sealed` watermark).
+    fn segment(&self, idx: usize) -> Arc<Segment> {
+        Arc::clone(&rlock(&self.segments)[idx])
+    }
+
     /// Read and parse one spilled batch into the caller's reusable
-    /// staging slot.
+    /// staging slot. Panics on IO failure or corrupt bytes — the visit
+    /// path surfaces spill corruption loudly instead of training on
+    /// garbage.
     fn read_disk(&self, loc: DiskLoc, buf: &mut Vec<u8>) -> AnyBatch {
-        read_parse(&self.io, loc.shard, loc.offset, loc.len, buf)
+        self.io
+            .read_range(loc.shard, loc.offset, loc.len, buf)
+            .expect("read spill file");
+        Scheme::from_bytes(buf).expect("spill data corrupted")
     }
 
     /// [`Self::read_disk`] staged through the visitor thread's reusable
     /// buffer (plain visits and prefetch misses).
     fn read_disk_sync(&self, loc: DiskLoc) -> AnyBatch {
         SYNC_SPILL_BUF.with(|cell| self.read_disk(loc, &mut cell.borrow_mut()))
+    }
+
+    /// The write path of every segment this store spills, built or
+    /// appended, called with the append lock held: the bytes land at `shard`'s cursor (through the
+    /// write-fault plan when one is given), then the segment is
+    /// published. Returns its batch index.
+    fn append_disk(
+        &self,
+        append: &mut AppendState,
+        shard: usize,
+        bytes: &[u8],
+        labels: Vec<f64>,
+        fault: Option<&crate::testing::FaultPlan>,
+    ) -> std::io::Result<usize> {
+        let offset = append.cursors[shard];
+        match fault {
+            Some(plan) => {
+                let seq = self.sealed.load(Ordering::Relaxed) - self.base;
+                plan.faulty_append(&self.io, shard, offset, bytes, seq as u64)?
+            }
+            None => self.io.devices[shard].file.write_all_at(bytes, offset)?,
+        }
+        append.cursors[shard] = offset + bytes.len() as u64;
+        let loc = DiskLoc {
+            shard,
+            offset,
+            len: bytes.len(),
+        };
+        Ok(self.publish(Segment::new(Body::Disk(RwLock::new(loc)), labels)))
+    }
+
+    /// Push a complete segment onto the table and raise the watermark
+    /// past it (visibility last). Returns its batch index.
+    fn publish(&self, segment: Segment) -> usize {
+        let mut table = wlock(&self.segments);
+        table.push(Arc::new(segment));
+        self.sealed.store(table.len(), Ordering::Release);
+        table.len() - 1
+    }
+
+    /// Advance the consumed watermark past `idx` once a visitor is done
+    /// with it, releasing a producer blocked on the sealed-chunk budget.
+    fn mark_consumed(&self, idx: usize) {
+        let mut consumed = lock(&self.consumed);
+        if idx + 1 > *consumed {
+            *consumed = idx + 1;
+            drop(consumed);
+            self.consumed_cv.notify_all();
+        }
     }
 }
 
@@ -840,6 +754,12 @@ struct Prefetcher {
     shared: Arc<PrefetchShared>,
     engine: Option<Arc<dyn SpillIo>>,
     depth: usize,
+    /// Indices of the spilled build-time segments, ascending — the cyclic
+    /// orbit the lookahead walks (a store can hold arbitrarily many
+    /// resident batches between spilled ones; scanning the table for the
+    /// next spilled index under the prefetch lock would be O(n)).
+    /// Appended segments are outside it and always read synchronously.
+    order: Vec<usize>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -853,13 +773,10 @@ fn submit_lookahead(
     inner: &Inner,
     engine: &dyn SpillIo,
     st: &mut PrefetchState,
+    order: &[usize],
     after: Option<usize>,
     depth: usize,
 ) {
-    let order = &inner.spilled_order;
-    if order.is_empty() {
-        return;
-    }
     let start = match after {
         Some(idx) => order.partition_point(|&i| i <= idx),
         None => 0,
@@ -877,8 +794,9 @@ fn submit_lookahead(
             continue;
         }
         let loc = inner
-            .disk_loc(i)
-            .expect("spilled_order holds a memory entry");
+            .segment(i)
+            .disk_loc()
+            .expect("prefetch orbit holds a resident segment");
         if st.in_flight_shard[loc.shard] >= depth {
             continue;
         }
@@ -903,6 +821,7 @@ fn submit_lookahead(
 impl Prefetcher {
     fn start(
         inner: Arc<Inner>,
+        order: Vec<usize>,
         depth: usize,
         engine: Option<Arc<dyn SpillIo>>,
         decode_workers: usize,
@@ -920,10 +839,10 @@ impl Prefetcher {
         {
             let mut st = lock(&shared.state);
             match &engine {
-                Some(engine) => submit_lookahead(&inner, engine.as_ref(), &mut st, None, depth),
-                None => st
-                    .queue
-                    .extend(inner.spilled_order.iter().take(depth).copied()),
+                Some(engine) => {
+                    submit_lookahead(&inner, engine.as_ref(), &mut st, &order, None, depth)
+                }
+                None => st.queue.extend(order.iter().take(depth).copied()),
             }
         }
         let threads = decode_workers.clamp(1, MAX_PREFETCH_WORKERS);
@@ -945,7 +864,29 @@ impl Prefetcher {
             shared,
             engine,
             depth,
+            order,
             workers,
+        }
+    }
+
+    /// Schedule the next orbit indices after `idx` (cyclically, so the
+    /// pipeline stays warm across epoch boundaries) that are not already
+    /// queued, in flight, or decoded — sync mode only. The queue is
+    /// capped at `depth`: visits consume one slot each, so an uncapped
+    /// queue would grow until every spilled index sat in it and the
+    /// `queue.contains` membership scan became O(n) under the shared
+    /// lock. The cap keeps that scan O(depth).
+    fn schedule_lookahead(&self, st: &mut PrefetchState, idx: usize) {
+        let order = &self.order;
+        let start = order.partition_point(|&i| i <= idx);
+        for k in 0..order.len() {
+            if st.queue.len() >= self.depth {
+                break;
+            }
+            let i = order[(start + k) % order.len()];
+            if !st.pending.contains(&i) && !st.ready.contains_key(&i) && !st.queue.contains(&i) {
+                st.queue.push_back(i);
+            }
         }
     }
 
@@ -970,7 +911,10 @@ impl Prefetcher {
                     st = wait(&shared.work, st);
                 }
             };
-            let loc = inner.disk_loc(idx).expect("prefetch of in-memory batch");
+            let loc = inner
+                .segment(idx)
+                .disk_loc()
+                .expect("prefetch of a resident segment");
             // Contain read/parse panics (truncated shard, corrupt bytes):
             // the index must leave `pending` either way, or a visitor
             // waiting on it would hang forever. On failure the index is
@@ -1052,18 +996,28 @@ impl Drop for Prefetcher {
     }
 }
 
-/// Sharded, concurrent out-of-core store: spilled batches are laid out
-/// across N shard files ([`ShardPlacement`]), the read path is lock-free
-/// positional IO, and an optional prefetch pipeline keeps upcoming
-/// batches decoded in the background — synchronously per worker, or
-/// overlapped through an async [`SpillIo`] engine. Implements
-/// [`BatchProvider`].
+/// Sharded, concurrent out-of-core store: one segment table holds every
+/// batch, resident or spilled, built up front or appended while readers
+/// run. Spilled batches are laid out across N shard files
+/// ([`ShardPlacement`]; `with_shards(1)` is the single-spill-file store),
+/// the read path is lock-free positional IO, and an optional prefetch
+/// pipeline keeps upcoming batches decoded in the background —
+/// synchronously per worker, or overlapped through an async [`SpillIo`]
+/// engine. Implements [`BatchProvider`].
+///
+/// Byte accounting is split by origin, and the two halves never overlap:
+/// [`memory_bytes`](Self::memory_bytes), [`spilled_bytes`](Self::spilled_bytes)
+/// and [`total_bytes`](Self::total_bytes) describe the build-time segments
+/// only, while [`appended_bytes`](Self::appended_bytes) and
+/// [`appended_batches`](Self::appended_batches) describe the segments
+/// landed through [`append_sealed`](Self::append_sealed). A streaming store
+/// has no build-time segments, so its `total_bytes()` is 0 and its whole
+/// footprint is `appended_bytes()`. The store's encoded footprint is
+/// always `total_bytes() + appended_bytes()`, each segment counted once.
 pub struct ShardedSpillStore {
     inner: Arc<Inner>,
     prefetcher: Option<Prefetcher>,
     owns_dir: Option<PathBuf>,
-    memory_bytes: usize,
-    spilled_bytes: usize,
     placement: ShardPlacement,
     scheduler: SchedulerConfig,
     /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
@@ -1079,12 +1033,86 @@ pub struct ShardedSpillStore {
 /// each run keeps consecutive batches file-adjacent (coalescing).
 const PACK_RUNS_PER_SHARD: usize = 4;
 
+/// Build-time staging shared by [`ShardedSpillStore::build`] and
+/// [`ShardedSpillStore::build_from_container`]: batches are encoded in
+/// order (shuffle-once semantics) and stay resident while the memory
+/// budget lasts; the rest are serialized for the spill, whose layout
+/// ([`place_spilled`]) needs every spilled size up front.
+#[derive(Default)]
+struct Staging {
+    /// Every batch in order; `None` marks a spilled one, whose bytes are
+    /// the next entry of `spill`.
+    batches: Vec<(Option<AnyBatch>, Vec<f64>)>,
+    spill: Vec<Vec<u8>>,
+    memory_bytes: usize,
+}
+
+impl Staging {
+    /// Encode one batch and decide memory vs. disk.
+    fn push(&mut self, config: &StoreConfig, rows: &DenseMatrix, labels: Vec<f64>) {
+        let batch = config.scheme.encode_with(rows, &config.encode);
+        let size = batch.size_bytes();
+        if self.memory_bytes + size <= config.memory_budget {
+            self.memory_bytes += size;
+            self.batches.push((Some(batch), labels));
+        } else {
+            self.spill.push(batch.to_bytes());
+            self.batches.push((None, labels));
+        }
+    }
+
+    /// Open the store and append every staged batch in order: resident
+    /// ones straight into the table, spilled ones through the append path
+    /// onto the shard [`place_spilled`] picked for them. One shard file
+    /// per spilled batch at most, none when nothing spilled.
+    fn finish(self, config: &StoreConfig, features: usize) -> std::io::Result<ShardedSpillStore> {
+        let n_shards = config.resolved_shards().min(self.spill.len());
+        let sizes: Vec<usize> = self.spill.iter().map(Vec::len).collect();
+        let assignment = place_spilled(&sizes, n_shards.max(1), config.placement);
+        let (files, owns_dir) = create_shards(config, n_shards)?;
+        let mut inner = Inner::new(features, config, files, vec![0; n_shards]);
+        {
+            let mut append = lock(&inner.append);
+            let mut spill = self.spill.into_iter().zip(assignment);
+            for (batch, labels) in self.batches {
+                match batch {
+                    Some(b) => {
+                        inner.publish(Segment::new(Body::Memory(b), labels));
+                    }
+                    None => {
+                        let (bytes, shard) = spill.next().expect("one spill entry per batch");
+                        inner.append_disk(&mut append, shard, &bytes, labels, None)?;
+                    }
+                }
+            }
+        }
+        for dev in &inner.io.devices {
+            dev.file.sync_all()?;
+        }
+        let base = inner.sealed.load(Ordering::Relaxed);
+        inner.base = base;
+        inner.consumed = Mutex::new(base);
+        ShardedSpillStore::start(inner, config, owns_dir)
+    }
+}
+
 impl ShardedSpillStore {
     /// Encode `x` into mini-batches under `config`, laying everything
     /// past the memory budget out across `config.shards` shard files.
     pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
-        let (pending, memory_bytes, any_spilled) = encode_batches(x, labels, config);
-        Self::from_pending(pending, memory_bytes, any_spilled, x.cols(), config)
+        assert_eq!(x.rows(), labels.len());
+        let mut staging = Staging::default();
+        let mut start = 0usize;
+        while start < x.rows() {
+            let end = (start + config.batch_rows).min(x.rows());
+            staging.push(
+                config,
+                &x.slice_rows(start, end),
+                labels[start..end].to_vec(),
+            );
+            start = end;
+        }
+        staging.finish(config, x.cols())
     }
 
     /// Build the store by streaming a v2 `.tocz` container instead of a
@@ -1106,29 +1134,13 @@ impl ShardedSpillStore {
             )));
         }
         let d = cols - 1;
-        let mut pending: Vec<(Pending, Vec<f64>)> = Vec::new();
-        let mut memory_bytes = 0usize;
-        let mut any_spilled = false;
+        let mut staging = Staging::default();
         let mut stage: Vec<f64> = Vec::with_capacity(config.batch_rows * d);
         let mut stage_y: Vec<f64> = Vec::with_capacity(config.batch_rows);
-        let flush = |stage: &mut Vec<f64>,
-                     stage_y: &mut Vec<f64>,
-                     pending: &mut Vec<(Pending, Vec<f64>)>,
-                     memory_bytes: &mut usize,
-                     any_spilled: &mut bool| {
-            if stage_y.is_empty() {
-                return;
-            }
-            let dense = DenseMatrix::from_vec(stage_y.len(), d, std::mem::take(stage));
-            let batch = config.scheme.encode_with(&dense, &config.encode);
-            let y = std::mem::take(stage_y);
-            let size = batch.size_bytes();
-            if *memory_bytes + size <= config.memory_budget {
-                *memory_bytes += size;
-                pending.push((Pending::Mem(batch), y));
-            } else {
-                *any_spilled = true;
-                pending.push((Pending::Disk(batch.to_bytes()), y));
+        let mut flush = |stage: &mut Vec<f64>, stage_y: &mut Vec<f64>| {
+            if !stage_y.is_empty() {
+                let rows = DenseMatrix::from_vec(stage_y.len(), d, std::mem::take(stage));
+                staging.push(config, &rows, std::mem::take(stage_y));
             }
         };
         for seg in 0..sc.num_segments() {
@@ -1138,156 +1150,41 @@ impl ShardedSpillStore {
                 stage.extend_from_slice(&row[..d]);
                 stage_y.push(if row[d] >= 0.0 { 1.0 } else { -1.0 });
                 if stage_y.len() == config.batch_rows {
-                    flush(
-                        &mut stage,
-                        &mut stage_y,
-                        &mut pending,
-                        &mut memory_bytes,
-                        &mut any_spilled,
-                    );
+                    flush(&mut stage, &mut stage_y);
                 }
             }
         }
-        flush(
-            &mut stage,
-            &mut stage_y,
-            &mut pending,
-            &mut memory_bytes,
-            &mut any_spilled,
-        );
-        Self::from_pending(pending, memory_bytes, any_spilled, d, config)
+        flush(&mut stage, &mut stage_y);
+        staging.finish(config, d)
     }
 
-    /// Second phase shared by [`ShardedSpillStore::build`] and
-    /// [`ShardedSpillStore::build_from_container`]: lay spilled batches
-    /// out across shard files, resolve placement/scheduling, and start
-    /// the prefetch pipeline.
-    fn from_pending(
-        pending: Vec<(Pending, Vec<f64>)>,
-        memory_bytes: usize,
-        any_spilled: bool,
-        features: usize,
+    /// Open an *empty* live store for streaming ingestion: the shard
+    /// files are created up front and every segment subsequently landed
+    /// via [`ShardedSpillStore::append_sealed`] goes straight to disk, so
+    /// ingest memory stays bounded by the encoder workspace no matter how
+    /// many rows arrive. Trainers, tenant readers and the adaptive
+    /// migrator may run concurrently from the first append: each segment
+    /// becomes visible atomically once sealed. The prefetch pipeline does
+    /// not cover appended segments — their reads take the same charged
+    /// synchronous path plain visits use — and a fault plan contributes
+    /// its `device_profiles` to the shard devices and its write faults to
+    /// the append path.
+    pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
+        let n_shards = config.resolved_shards().max(1);
+        let (files, owns_dir) = create_shards(config, n_shards)?;
+        let inner = Inner::new(features, config, files, vec![0; n_shards]);
+        Self::start(inner, config, owns_dir)
+    }
+
+    /// The one open path's tail, shared by every constructor: resolve the
+    /// scheduler, derive the prefetch orbit from the build-time segments
+    /// and start the pipeline over it.
+    fn start(
+        inner: Inner,
         config: &StoreConfig,
+        owns_dir: Option<PathBuf>,
     ) -> std::io::Result<Self> {
-        let spill_sizes: Vec<usize> = pending
-            .iter()
-            .filter_map(|(p, _)| match p {
-                Pending::Disk(b) => Some(b.len()),
-                Pending::Mem(_) => None,
-            })
-            .collect();
-        let spilled_count = spill_sizes.len();
-
-        let mut entries = Vec::with_capacity(pending.len());
-        let mut locs: Vec<DiskLoc> = Vec::with_capacity(spilled_count);
-        let (devices, shard_meta, append, owns_dir, spilled_bytes) = if !any_spilled {
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Slot::Memory(b), y)),
-                    Pending::Disk(_) => unreachable!(),
-                }
-            }
-            (Vec::new(), Vec::new(), Vec::new(), None, 0)
-        } else {
-            let (dir, owns) = resolve_spill_dir(config);
-            fs::create_dir_all(&dir)?;
-            let n_shards = config.resolved_shards().clamp(1, spilled_count);
-            let assignment = place_spilled(&spill_sizes, n_shards, config.placement);
-            let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-            let mut files = Vec::with_capacity(n_shards);
-            let mut paths = Vec::with_capacity(n_shards);
-            for s in 0..n_shards {
-                let path = dir.join(format!(
-                    "spill-{}-{}-s{}.bin",
-                    config.scheme.tag(),
-                    store_id,
-                    s
-                ));
-                files.push(
-                    OpenOptions::new()
-                        .create(true)
-                        .write(true)
-                        .read(true)
-                        .truncate(true)
-                        .open(&path)?,
-                );
-                paths.push(path);
-            }
-            let mut offsets = vec![0u64; n_shards];
-            let mut spill_idx = 0usize;
-            let mut total = 0usize;
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Slot::Memory(b), y)),
-                    Pending::Disk(bytes) => {
-                        let s = assignment[spill_idx];
-                        files[s].write_all(&bytes)?;
-                        entries.push((Slot::Disk(spill_idx), y));
-                        locs.push(DiskLoc {
-                            shard: s,
-                            offset: offsets[s],
-                            len: bytes.len(),
-                        });
-                        spill_idx += 1;
-                        offsets[s] += bytes.len() as u64;
-                        total += bytes.len();
-                    }
-                }
-            }
-            // Per-shard device profiles: the fault plan's (test harness)
-            // win over the config's; both cycle when shorter than the
-            // shard count.
-            let profiles: &[DeviceProfile] = config
-                .fault
-                .as_ref()
-                .map(|f| f.device_profiles.as_slice())
-                .filter(|p| !p.is_empty())
-                .unwrap_or(&config.shard_profiles);
-            let shards: Vec<(SpillDevice, ShardMeta)> = files
-                .into_iter()
-                .zip(paths)
-                .enumerate()
-                .map(|(s, (f, path))| {
-                    let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-                    f.sync_all()
-                        .map(|_| (SpillDevice::with_profile(f, profile), ShardMeta { path }))
-                })
-                .collect::<std::io::Result<_>>()?;
-            let (devices, meta) = shards.into_iter().unzip();
-            (devices, meta, offsets, owns, total)
-        };
-
-        let spilled_order: Vec<usize> = entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (s, _))| matches!(s, Slot::Disk(_)).then_some(i))
-            .collect();
-        let n_shards = devices.len();
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let visits = (0..locs.len()).map(|_| AtomicU64::new(0)).collect();
-        let inner = Arc::new(Inner {
-            scheme: config.scheme,
-            features,
-            entries,
-            spilled_order,
-            locs: RwLock::new(locs),
-            visits,
-            ext: RwLock::new(Vec::new()),
-            sealed: AtomicUsize::new(0),
-            shard_meta,
-            append: Mutex::new(AppendState {
-                cursors: append,
-                seq: 0,
-                bytes: 0,
-            }),
-            appender_active: std::sync::atomic::AtomicBool::new(false),
-            max_pending: config.max_pending,
-            consumed: Mutex::new(0),
-            consumed_cv: Condvar::new(),
-            peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io: Arc::clone(&io),
-        });
+        let n_shards = inner.shard_paths.len();
         // Resolve the scheduler even when no engine starts, so the report
         // and the CLI stats line always name real numbers — and so an
         // invalid pin map is rejected no matter which engine runs.
@@ -1305,25 +1202,32 @@ impl ShardedSpillStore {
                 .ring_assignment(n_shards, io_threads)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         }
-        let prefetcher = if config.prefetch > 0 && spilled_count > 0 {
+        let order: Vec<usize> = rlock(&inner.segments)[..inner.base]
+            .iter()
+            .enumerate()
+            .filter_map(|(i, seg)| seg.disk_loc().is_some().then_some(i))
+            .collect();
+        let inner = Arc::new(inner);
+        let prefetcher = if config.prefetch > 0 && !order.is_empty() {
+            let io = &inner.io;
             let lanes = sched.completion_lanes(decode_workers, n_shards);
             let engine: Option<Arc<dyn SpillIo>> = if let Some(plan) = &config.fault {
                 Some(Arc::new(crate::testing::FaultyIo::start(
-                    Arc::clone(&io),
+                    Arc::clone(io),
                     plan.clone(),
                 )))
             } else {
                 match config.io {
                     IoEngineKind::Sync => None,
                     IoEngineKind::Pool => {
-                        Some(Arc::new(PoolIo::start(Arc::clone(&io), io_threads, lanes)))
+                        Some(Arc::new(PoolIo::start(Arc::clone(io), io_threads, lanes)))
                     }
                     IoEngineKind::Ring => {
                         let assign = sched
                             .ring_assignment(n_shards, io_threads)
                             .expect("pin map validated above");
                         Some(Arc::new(RingIo::start(
-                            Arc::clone(&io),
+                            Arc::clone(io),
                             io_threads,
                             assign,
                             lanes,
@@ -1333,6 +1237,7 @@ impl ShardedSpillStore {
             };
             Some(Prefetcher::start(
                 Arc::clone(&inner),
+                order,
                 config.prefetch,
                 engine,
                 decode_workers,
@@ -1347,98 +1252,9 @@ impl ShardedSpillStore {
             inner,
             prefetcher,
             owns_dir,
-            memory_bytes,
-            spilled_bytes,
             placement: config.placement,
             scheduler: config.scheduler.clone(),
             io_threads: if engine_running { engine_io_threads } else { 0 },
-            decode_workers,
-            ingest_fault: config.fault.clone(),
-        })
-    }
-
-    /// Open an *empty* live store for streaming ingestion: the shard
-    /// files are created up front and every segment subsequently landed
-    /// via [`ShardedSpillStore::append_sealed`] goes straight to disk, so
-    /// ingest memory stays bounded by the encoder workspace no matter how
-    /// many rows arrive. Trainers, tenant readers and the adaptive
-    /// migrator may run concurrently from the first append: each segment
-    /// becomes visible atomically once sealed. The prefetch pipeline does
-    /// not cover appended segments — their reads take the same charged
-    /// synchronous path plain visits use — and a fault plan contributes
-    /// its `device_profiles` to the shard devices and its write faults to
-    /// the append path.
-    pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
-        let (dir, owns_dir) = resolve_spill_dir(config);
-        fs::create_dir_all(&dir)?;
-        let n_shards = config.resolved_shards().max(1);
-        let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
-        let mut devices = Vec::with_capacity(n_shards);
-        let mut shard_meta = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let path = dir.join(format!(
-                "spill-{}-{}-s{}.bin",
-                config.scheme.tag(),
-                store_id,
-                s
-            ));
-            let f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .read(true)
-                .truncate(true)
-                .open(&path)?;
-            let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-            devices.push(SpillDevice::with_profile(f, profile));
-            shard_meta.push(ShardMeta { path });
-        }
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let inner = Arc::new(Inner {
-            scheme: config.scheme,
-            features,
-            entries: Vec::new(),
-            spilled_order: Vec::new(),
-            locs: RwLock::new(Vec::new()),
-            visits: Vec::new(),
-            ext: RwLock::new(Vec::new()),
-            sealed: AtomicUsize::new(0),
-            shard_meta,
-            append: Mutex::new(AppendState {
-                cursors: vec![0u64; n_shards],
-                seq: 0,
-                bytes: 0,
-            }),
-            appender_active: std::sync::atomic::AtomicBool::new(false),
-            max_pending: config.max_pending,
-            consumed: Mutex::new(0),
-            consumed_cv: Condvar::new(),
-            peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io,
-        });
-        // Same scheduling resolution as `from_pending`, so the report and
-        // an invalid pin map behave identically for streaming stores.
-        let sched = &config.scheduler;
-        let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards, config.prefetch);
-        sched
-            .ring_assignment(n_shards, io_threads)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        Ok(Self {
-            inner,
-            prefetcher: None,
-            owns_dir,
-            memory_bytes: 0,
-            spilled_bytes: 0,
-            placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: 0,
             decode_workers,
             ingest_fault: config.fault.clone(),
         })
@@ -1454,7 +1270,7 @@ impl ShardedSpillStore {
     /// round-robin across the shard files.
     pub fn append_sealed(&self, bytes: &[u8], labels: Vec<f64>) -> std::io::Result<usize> {
         let inner = &self.inner;
-        let n_shards = inner.shard_meta.len();
+        let n_shards = inner.shard_paths.len();
         assert!(
             n_shards > 0,
             "append_sealed needs shard files; open the store with \
@@ -1488,47 +1304,31 @@ impl ShardedSpillStore {
             }
         }
         let mut append = lock(&inner.append);
-        // The sequence number lives inside the mutex: concurrent callers
-        // serialize here and each append gets a unique, gap-free seq.
-        let seq = append.seq;
-        let shard = seq % n_shards;
-        let offset = append.cursors[shard];
-        match &self.ingest_fault {
-            Some(plan) => plan.faulty_append(&inner.io, shard, offset, bytes, seq as u64)?,
-            None => inner.io.devices[shard].file.write_all_at(bytes, offset)?,
-        }
-        append.cursors[shard] = offset + bytes.len() as u64;
-        wlock(&inner.ext).push(Arc::new(ExtEntry {
-            loc: RwLock::new(DiskLoc {
-                shard,
-                offset,
-                len: bytes.len(),
-            }),
+        let shard = (inner.sealed.load(Ordering::Relaxed) - inner.base) % n_shards;
+        let idx = inner.append_disk(
+            &mut append,
+            shard,
+            bytes,
             labels,
-            visits: AtomicU64::new(0),
-        }));
+            self.ingest_fault.as_ref(),
+        )?;
         append.bytes += bytes.len() as u64;
-        append.seq += 1;
-        let idx = inner.entries.len() + seq;
-        // Publish visibility last: an index below the watermark always
-        // resolves to fully-written bytes and a registered ext entry.
-        inner.sealed.store(append.seq, Ordering::Release);
-        let pending = append.seq.saturating_sub(*lock(&inner.consumed));
+        let pending = (idx + 1).saturating_sub(*lock(&inner.consumed));
         inner.peak_pending.fetch_max(pending, Ordering::Relaxed);
-        drop(append);
         Ok(idx)
     }
 
     /// Segments landed through [`ShardedSpillStore::append_sealed`] so
     /// far (they count toward [`BatchProvider::num_batches`] too).
     pub fn appended_batches(&self) -> usize {
-        self.inner.sealed.load(Ordering::Acquire)
+        self.inner.sealed.load(Ordering::Acquire) - self.inner.base
     }
 
     /// Encoded bytes landed through
-    /// [`ShardedSpillStore::append_sealed`] so far. Reads under the
-    /// append lock, so the value is never ahead of — or behind — the
-    /// batches an [`ShardedSpillStore::appended_snapshot`] pairs it with.
+    /// [`ShardedSpillStore::append_sealed`] so far — never counted in
+    /// [`ShardedSpillStore::total_bytes`]. Reads under the append lock, so
+    /// the value is never ahead of — or behind — the batches an
+    /// [`ShardedSpillStore::appended_snapshot`] pairs it with.
     pub fn appended_bytes(&self) -> u64 {
         lock(&self.inner.append).bytes
     }
@@ -1541,7 +1341,7 @@ impl ShardedSpillStore {
     /// behind it.)
     pub fn appended_snapshot(&self) -> (usize, u64) {
         let append = lock(&self.inner.append);
-        (append.seq, append.bytes)
+        (self.appended_batches(), append.bytes)
     }
 
     /// Appended segments sealed but not yet consumed by any visitor
@@ -1578,32 +1378,30 @@ impl ShardedSpillStore {
     /// extent and labels (post-migration locations — a checkpoint taken
     /// after a rebalance restores the rebalanced layout). Taken under
     /// the append lock, so it can never capture a half-appended
-    /// segment. Panics on a non-streaming store: build-time entries are
+    /// segment. Panics on a store with build-time segments: those are
     /// reproducible from their source and have no business in a crash
     /// checkpoint.
     pub fn streaming_checkpoint(&self) -> StoreCheckpoint {
         let inner = &self.inner;
         assert!(
-            inner.entries.is_empty() && !inner.shard_meta.is_empty(),
+            inner.base == 0 && !inner.shard_paths.is_empty(),
             "streaming_checkpoint needs a store opened with open_streaming"
         );
         let append = lock(&inner.append);
-        let ext = rlock(&inner.ext);
-        let entries = ext
+        let entries = rlock(&inner.segments)
             .iter()
-            .take(append.seq)
-            .map(|e| {
-                let loc = *rlock(&e.loc);
+            .map(|seg| {
+                let loc = seg.disk_loc().expect("appended segments live on disk");
                 CheckpointEntry {
                     shard: loc.shard as u32,
                     offset: loc.offset,
                     len: loc.len as u64,
-                    labels: e.labels.clone(),
+                    labels: seg.labels.clone(),
                 }
             })
             .collect();
         StoreCheckpoint {
-            shard_paths: inner.shard_meta.iter().map(|m| m.path.clone()).collect(),
+            shard_paths: inner.shard_paths.clone(),
             cursors: append.cursors.clone(),
             entries,
         }
@@ -1614,8 +1412,9 @@ impl ShardedSpillStore {
     /// place (never truncated below the recorded cursors — a file
     /// shorter than its cursor means the checkpoint outran the data and
     /// is rejected), any torn bytes past the cursors are truncated
-    /// away, and every checkpointed segment becomes visible again.
-    /// Appending continues exactly where the crashed run left off.
+    /// away, and every checkpointed segment becomes visible again — as
+    /// appended segments, like the crashed run's. Appending continues
+    /// exactly where the crashed run left off.
     pub fn open_streaming_resume(
         features: usize,
         config: &StoreConfig,
@@ -1629,7 +1428,6 @@ impl ShardedSpillStore {
                 "checkpoint has no shards or mismatched cursor count",
             ));
         }
-        let mut total = 0u64;
         for (i, e) in ckpt.entries.iter().enumerate() {
             let s = e.shard as usize;
             if s >= n_shards || e.offset + e.len > ckpt.cursors[s] {
@@ -1638,16 +1436,8 @@ impl ShardedSpillStore {
                     format!("checkpoint entry {i} extends past its shard cursor"),
                 ));
             }
-            total += e.len;
         }
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
-        let mut devices = Vec::with_capacity(n_shards);
-        let mut shard_meta = Vec::with_capacity(n_shards);
+        let mut files = Vec::with_capacity(n_shards);
         for (s, (path, &cursor)) in ckpt.shard_paths.iter().zip(&ckpt.cursors).enumerate() {
             let f = OpenOptions::new().write(true).read(true).open(path)?;
             let len = f.metadata()?.len();
@@ -1664,117 +1454,81 @@ impl ShardedSpillStore {
             if len > cursor {
                 f.set_len(cursor)?;
             }
-            let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-            devices.push(SpillDevice::with_profile(f, profile));
-            shard_meta.push(ShardMeta { path: path.clone() });
+            files.push((f, path.clone()));
         }
-        let ext: Vec<Arc<ExtEntry>> = ckpt
-            .entries
-            .iter()
-            .map(|e| {
-                Arc::new(ExtEntry {
-                    loc: RwLock::new(DiskLoc {
-                        shard: e.shard as usize,
-                        offset: e.offset,
-                        len: e.len as usize,
-                    }),
-                    labels: e.labels.clone(),
-                    visits: AtomicU64::new(0),
-                })
-            })
-            .collect();
-        let sealed = ext.len();
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let inner = Arc::new(Inner {
-            scheme: config.scheme,
-            features,
-            entries: Vec::new(),
-            spilled_order: Vec::new(),
-            locs: RwLock::new(Vec::new()),
-            visits: Vec::new(),
-            ext: RwLock::new(ext),
-            sealed: AtomicUsize::new(sealed),
-            shard_meta,
-            append: Mutex::new(AppendState {
-                cursors: ckpt.cursors.clone(),
-                seq: sealed,
-                bytes: total,
-            }),
-            appender_active: std::sync::atomic::AtomicBool::new(false),
-            max_pending: config.max_pending,
-            consumed: Mutex::new(0),
-            consumed_cv: Condvar::new(),
-            peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io,
-        });
-        let sched = &config.scheduler;
-        let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards, config.prefetch);
-        sched
-            .ring_assignment(n_shards, io_threads)
-            .map_err(|e| Error::new(ErrorKind::InvalidInput, e))?;
-        Ok(Self {
-            inner,
-            prefetcher: None,
-            owns_dir: None,
-            memory_bytes: 0,
-            spilled_bytes: 0,
-            placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: 0,
-            decode_workers,
-            ingest_fault: config.fault.clone(),
-        })
+        let inner = Inner::new(features, config, files, ckpt.cursors.clone());
+        for e in &ckpt.entries {
+            let loc = DiskLoc {
+                shard: e.shard as usize,
+                offset: e.offset,
+                len: e.len as usize,
+            };
+            inner.publish(Segment::new(Body::Disk(RwLock::new(loc)), e.labels.clone()));
+        }
+        lock(&inner.append).bytes = ckpt.encoded_bytes();
+        Self::start(inner, config, None)
     }
 
-    /// Number of batches kept in memory.
+    /// `[resident, spilled]` build-time segments as `(count, bytes)`.
+    fn build_footprint(&self) -> [(usize, usize); 2] {
+        let mut out = [(0, 0); 2];
+        for seg in &rlock(&self.inner.segments)[..self.inner.base] {
+            let (slot, bytes) = match &seg.body {
+                Body::Memory(b) => (0, b.size_bytes()),
+                Body::Disk(loc) => (1, rlock(loc).len),
+            };
+            out[slot].0 += 1;
+            out[slot].1 += bytes;
+        }
+        out
+    }
+
+    /// Number of build-time batches kept in memory.
     pub fn in_memory_batches(&self) -> usize {
-        self.inner
-            .entries
-            .iter()
-            .filter(|(s, _)| matches!(s, Slot::Memory(_)))
-            .count()
+        self.build_footprint()[0].0
     }
 
-    /// Number of batches on disk.
+    /// Number of build-time batches on disk (appended segments are
+    /// counted by [`ShardedSpillStore::appended_batches`]).
     pub fn spilled_batches(&self) -> usize {
-        self.inner.entries.len() - self.in_memory_batches()
+        self.build_footprint()[1].0
     }
 
     /// Number of shard files backing the spill.
     pub fn num_shards(&self) -> usize {
-        self.inner.shard_meta.len()
+        self.inner.shard_paths.len()
     }
 
     /// Bytes of spilled batches currently assigned to each shard (follows
     /// adaptive migrations; superseded copies left behind by
     /// append-and-repoint are not counted).
     pub fn shard_bytes(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.inner.shard_meta.len()];
-        for loc in rlock(&self.inner.locs).iter() {
-            out[loc.shard] += loc.len as u64;
-        }
-        for e in rlock(&self.inner.ext).iter() {
-            let loc = *rlock(&e.loc);
+        let mut out = vec![0u64; self.inner.shard_paths.len()];
+        for loc in rlock(&self.inner.segments)
+            .iter()
+            .filter_map(|s| s.disk_loc())
+        {
             out[loc.shard] += loc.len as u64;
         }
         out
     }
 
-    /// Bytes of encoded batches resident in memory.
+    /// Bytes of build-time batches resident in memory.
     pub fn memory_bytes(&self) -> usize {
-        self.memory_bytes
+        self.build_footprint()[0].1
     }
 
-    /// Bytes of encoded batches on disk.
+    /// Bytes of build-time batches on disk.
     pub fn spilled_bytes(&self) -> usize {
-        self.spilled_bytes
+        self.build_footprint()[1].1
     }
 
-    /// Total encoded footprint.
+    /// Encoded footprint of the build-time batches: `memory_bytes() +
+    /// spilled_bytes()`. Appended segments are not included — they are
+    /// [`ShardedSpillStore::appended_bytes`] — so this is 0 on a store
+    /// opened with [`ShardedSpillStore::open_streaming`] (resumed or not).
     pub fn total_bytes(&self) -> usize {
-        self.memory_bytes + self.spilled_bytes
+        self.memory_bytes() + self.spilled_bytes()
     }
 
     /// The scheme this store encodes with.
@@ -1795,40 +1549,22 @@ impl ShardedSpillStore {
     // -- Crate-private seam for the multi-tenant layer ([`crate::serve`]).
     // Tenant providers read spilled batches directly (cache-miss path)
     // instead of through the prefetch pipeline, so they need the raw
-    // pieces `visit` composes: slot inspection, the shared visit/heat
-    // counters, the charged device read, and the bandwidth profile.
+    // pieces `visit` composes: the segment handle (labels, extent, the
+    // shared visit/heat counter), the charged device read, the consumed
+    // watermark, and the bandwidth profile.
 
-    /// Spill id of entry `idx`, when the entry is disk-resident.
-    pub(crate) fn spill_id(&self, idx: usize) -> Option<usize> {
-        match &self.inner.entries[idx].0 {
-            Slot::Disk(id) => Some(*id),
-            Slot::Memory(_) => None,
-        }
+    /// Segment `idx` of the table (below [`BatchProvider::num_batches`]).
+    pub(crate) fn segment(&self, idx: usize) -> Arc<Segment> {
+        self.inner.segment(idx)
     }
 
-    /// Labels of entry `idx`.
-    pub(crate) fn entry_labels(&self, idx: usize) -> &[f64] {
-        &self.inner.entries[idx].1
-    }
-
-    /// Bump the shared per-batch visit counter (the adaptive planner's
-    /// and the tenant cache's heat signal) and return the new count.
-    pub(crate) fn record_spill_visit(&self, id: usize) -> u64 {
-        self.inner.visits[id].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current `(shard, len)` of spill id `id` (may change across
-    /// adaptive rebalances; the bytes themselves never do).
-    pub(crate) fn spill_shard_len(&self, id: usize) -> (usize, usize) {
-        let loc = rlock(&self.inner.locs)[id];
-        (loc.shard, loc.len)
-    }
-
-    /// Read the current encoded bytes of spill id `id` through the
+    /// Read the current encoded bytes of a spilled segment through the
     /// charged device model (counts `disk_reads`/`bytes_read`, feeds the
     /// bandwidth profiler). Returns the shard that served the read.
-    pub(crate) fn read_spill_bytes(&self, id: usize, buf: &mut Vec<u8>) -> usize {
-        let loc = rlock(&self.inner.locs)[id];
+    pub(crate) fn read_spill_bytes(&self, seg: &Segment, buf: &mut Vec<u8>) -> usize {
+        let loc = seg
+            .disk_loc()
+            .expect("read_spill_bytes of a resident segment");
         self.inner
             .io
             .read_range(loc.shard, loc.offset, loc.len, buf)
@@ -1841,6 +1577,11 @@ impl ShardedSpillStore {
         Scheme::from_bytes(bytes).expect("spill data corrupted")
     }
 
+    /// A visitor is done with batch `idx` (see [`StoreConfig::max_pending`]).
+    pub(crate) fn mark_consumed(&self, idx: usize) {
+        self.inner.mark_consumed(idx);
+    }
+
     /// Per-shard EWMA bandwidth estimate in bytes/sec, when observed.
     pub(crate) fn shard_ewma_bps(&self, shard: usize) -> Option<f64> {
         self.inner
@@ -1850,32 +1591,11 @@ impl ShardedSpillStore {
             .map(|mbps| mbps * 1e6)
     }
 
-    /// Schedule the next spilled indices after `idx` (cyclically, so the
-    /// pipeline stays warm across epoch boundaries) that are not already
-    /// queued, in flight, or decoded — sync mode only. The walk runs over
-    /// `Inner::spilled_order`, never the full entry table, and the queue
-    /// is capped at `depth`: visits consume one slot each, so an uncapped
-    /// queue would grow until every spilled index sat in it and the
-    /// `queue.contains` membership scan became O(n) under the shared
-    /// lock. The cap keeps that scan O(depth).
-    fn schedule_lookahead(&self, st: &mut PrefetchState, idx: usize, depth: usize) {
-        let order = &self.inner.spilled_order;
-        let start = order.partition_point(|&i| i <= idx);
-        for k in 0..order.len() {
-            if st.queue.len() >= depth {
-                break;
-            }
-            let i = order[(start + k) % order.len()];
-            if !st.pending.contains(&i) && !st.ready.contains_key(&i) && !st.queue.contains(&i) {
-                st.queue.push_back(i);
-            }
-        }
-    }
-
     /// Materialize the spilled batch `idx`, through the prefetch pipeline
-    /// when one is running.
+    /// when one is running and its orbit covers `idx`.
     fn fetch(&self, idx: usize, loc: DiskLoc) -> AnyBatch {
-        let Some(pf) = &self.prefetcher else {
+        let orbit = |pf: &&Prefetcher| pf.order.binary_search(&idx).is_ok();
+        let Some(pf) = self.prefetcher.as_ref().filter(orbit) else {
             return self.inner.read_disk_sync(loc);
         };
         let stats = &self.inner.io.stats;
@@ -1886,11 +1606,16 @@ impl ShardedSpillStore {
         // scheduling *is* submission — the reads are in flight before we
         // even check our own slot.
         match &pf.engine {
-            Some(engine) => {
-                submit_lookahead(&self.inner, engine.as_ref(), &mut st, Some(idx), pf.depth)
-            }
+            Some(engine) => submit_lookahead(
+                &self.inner,
+                engine.as_ref(),
+                &mut st,
+                &pf.order,
+                Some(idx),
+                pf.depth,
+            ),
             None => {
-                self.schedule_lookahead(&mut st, idx, pf.depth);
+                pf.schedule_lookahead(&mut st, idx);
                 pf.shared.work.notify_all();
             }
         }
@@ -1944,14 +1669,14 @@ impl ShardedSpillStore {
     /// migrated.
     ///
     /// Migration is append-and-repoint: the batch's bytes are copied to
-    /// the end of the target shard file and the location table repointed,
-    /// so reads already in flight against the old location still return
+    /// the end of the target shard file and the segment repointed, so
+    /// reads already in flight against the old location still return
     /// the right bytes — the pipeline never has to drain. Skipped until
     /// every shard has at least one profiler observation (there is
     /// nothing measured to plan by before that).
     pub fn rebalance(&self) -> usize {
         let inner = &self.inner;
-        let n_shards = inner.shard_meta.len();
+        let n_shards = inner.shard_paths.len();
         if n_shards < 2 {
             return 0;
         }
@@ -1959,7 +1684,8 @@ impl ShardedSpillStore {
             return 0;
         }
         // The append lock doubles as the placement mutation lock: one
-        // rebalance at a time, and append offsets stay consistent.
+        // rebalance at a time, append offsets stay consistent, and no
+        // segment can seal mid-pass, so the snapshot is consistent.
         let mut append = lock(&inner.append);
         inner
             .placement_stats
@@ -1968,30 +1694,24 @@ impl ShardedSpillStore {
         let bw: Vec<f64> = (0..n_shards)
             .map(|s| inner.io.profile.estimate_mbps(s).unwrap_or(1.0))
             .collect();
-        let current: Vec<DiskLoc> = rlock(&inner.locs).clone();
-        // Streaming-appended segments participate in the plan too: with
-        // the append mutex held no new entry can seal mid-pass, so the
-        // snapshot is consistent. Their ids follow the build-time spill
-        // ids in plan order.
-        let ext: Vec<Arc<ExtEntry>> = rlock(&inner.ext).clone();
-        let all_locs: Vec<DiskLoc> = current
+        // The plan covers every spilled segment, in batch-index order.
+        let spilled: Vec<Arc<Segment>> = rlock(&inner.segments)
             .iter()
-            .copied()
-            .chain(ext.iter().map(|e| *rlock(&e.loc)))
+            .filter(|seg| seg.disk_loc().is_some())
+            .cloned()
             .collect();
-        let sizes: Vec<usize> = all_locs.iter().map(|l| l.len).collect();
-        let hot: Vec<u64> = inner
-            .visits
+        let locs: Vec<DiskLoc> = spilled.iter().filter_map(|s| s.disk_loc()).collect();
+        let sizes: Vec<usize> = locs.iter().map(|l| l.len).collect();
+        let hot: Vec<u64> = spilled
             .iter()
-            .chain(ext.iter().map(|e| &e.visits))
-            .map(|v| v.load(Ordering::Relaxed))
+            .map(|s| s.visits.load(Ordering::Relaxed))
             .collect();
         let capacity = vec![u64::MAX; n_shards];
         let plan = plan_adaptive(&sizes, &hot, &bw, &capacity);
         let mut moved = 0usize;
         let mut moved_bytes = 0u64;
         let mut buf = Vec::new();
-        for (id, (&target, loc)) in plan.iter().zip(&all_locs).enumerate() {
+        for ((&target, loc), seg) in plan.iter().zip(&locs).zip(&spilled) {
             if target == loc.shard || bw[target] < REBALANCE_HYSTERESIS * bw[loc.shard] {
                 continue;
             }
@@ -2014,15 +1734,12 @@ impl ShardedSpillStore {
                 continue;
             }
             append.cursors[target] += loc.len as u64;
-            let new_loc = DiskLoc {
-                shard: target,
-                offset,
-                len: loc.len,
-            };
-            if id < current.len() {
-                wlock(&inner.locs)[id] = new_loc;
-            } else {
-                *wlock(&ext[id - current.len()].loc) = new_loc;
+            if let Body::Disk(current) = &seg.body {
+                *wlock(current) = DiskLoc {
+                    shard: target,
+                    offset,
+                    len: loc.len,
+                };
             }
             moved += 1;
             moved_bytes += loc.len as u64;
@@ -2169,10 +1886,10 @@ pub fn plan_adaptive(
 
 impl BatchProvider for ShardedSpillStore {
     fn num_batches(&self) -> usize {
-        // Grows while streaming ingest appends: build-time entries plus
-        // the sealed watermark. `Acquire` pairs with the seal's `Release`
-        // so an index this returns always resolves to fully-written bytes.
-        self.inner.entries.len() + self.inner.sealed.load(Ordering::Acquire)
+        // Grows while streaming ingest appends. `Acquire` pairs with the
+        // seal's `Release` so an index this returns always resolves to
+        // fully-written bytes.
+        self.inner.sealed.load(Ordering::Acquire)
     }
 
     fn num_features(&self) -> usize {
@@ -2180,37 +1897,17 @@ impl BatchProvider for ShardedSpillStore {
     }
 
     fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
-        let base = self.inner.entries.len();
-        if idx >= base {
-            // Streaming-appended segment: same charged synchronous read
-            // path plain visits use. Clone the entry out of a brief table
-            // lock so the IO and decode run lock-free.
-            let e = Arc::clone(&rlock(&self.inner.ext)[idx - base]);
-            e.visits.fetch_add(1, Ordering::Relaxed);
-            let loc = *rlock(&e.loc);
-            let b = self.inner.read_disk_sync(loc);
-            f(&b, &e.labels);
-            // Advance the consumed watermark *after* the visitor is done
-            // with the batch and release any producer blocked on the
-            // sealed-chunk budget.
-            let ext_i = idx - base;
-            let mut consumed = lock(&self.inner.consumed);
-            if ext_i + 1 > *consumed {
-                *consumed = ext_i + 1;
-                drop(consumed);
-                self.inner.consumed_cv.notify_all();
-            }
-            return;
-        }
-        let (slot, labels) = &self.inner.entries[idx];
-        match slot {
-            Slot::Memory(b) => f(b, labels),
-            Slot::Disk(id) => {
+        let seg = self.inner.segment(idx);
+        match &seg.body {
+            Body::Memory(b) => f(b, &seg.labels),
+            Body::Disk(loc) => {
                 // Hotness signal for the adaptive planner.
-                self.inner.visits[*id].fetch_add(1, Ordering::Relaxed);
-                let loc = rlock(&self.inner.locs)[*id];
+                seg.record_visit();
+                let loc = *rlock(loc);
                 let b = self.fetch(idx, loc);
-                f(&b, labels);
+                f(&b, &seg.labels);
+                // Only after the visitor is done with the batch.
+                self.inner.mark_consumed(idx);
             }
         }
     }
@@ -2237,8 +1934,8 @@ impl Drop for ShardedSpillStore {
         if let Some(inner) = Arc::get_mut(&mut self.inner) {
             inner.io = Arc::new(IoShards::new(Vec::new(), None));
         }
-        for shard in &self.inner.shard_meta {
-            let _ = fs::remove_file(&shard.path);
+        for path in &self.inner.shard_paths {
+            let _ = fs::remove_file(path);
         }
         if let Some(d) = &self.owns_dir {
             let _ = fs::remove_dir(d);
@@ -2257,11 +1954,15 @@ mod tests {
         (ds.x, ds.labels)
     }
 
+    /// The single-spill-file configuration.
+    fn one_shard(x: &DenseMatrix, y: &[f64], config: StoreConfig) -> ShardedSpillStore {
+        ShardedSpillStore::build(x, y, &config.with_shards(1)).unwrap()
+    }
+
     #[test]
     fn everything_fits_with_big_budget() {
         let (x, y) = dataset();
-        let store =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, usize::MAX)).unwrap();
+        let store = one_shard(&x, &y, StoreConfig::new(Scheme::Toc, 100, usize::MAX));
         assert_eq!(store.num_batches(), 6);
         assert_eq!(store.spilled_batches(), 0);
         assert_eq!(store.stats().disk_reads.load(Ordering::Relaxed), 0);
@@ -2271,7 +1972,7 @@ mod tests {
     fn zero_budget_spills_everything_and_roundtrips() {
         let (x, y) = dataset();
         for scheme in [Scheme::Toc, Scheme::Den, Scheme::Gzip, Scheme::Cla] {
-            let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(scheme, 150, 0)).unwrap();
+            let store = one_shard(&x, &y, StoreConfig::new(scheme, 150, 0));
             assert_eq!(store.spilled_batches(), 4, "{}", scheme.name());
             // Visiting a spilled batch does real IO and returns the exact
             // batch content.
@@ -2286,11 +1987,9 @@ mod tests {
     #[test]
     fn partial_budget_splits_memory_and_disk() {
         let (x, y) = dataset();
-        let probe =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX)).unwrap();
+        let probe = one_shard(&x, &y, StoreConfig::new(Scheme::Csr, 100, usize::MAX));
         let half = probe.memory_bytes() / 2;
-        let store =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, half)).unwrap();
+        let store = one_shard(&x, &y, StoreConfig::new(Scheme::Csr, 100, half));
         assert!(store.in_memory_batches() >= 1);
         assert!(store.spilled_batches() >= 1);
         assert_eq!(store.in_memory_batches() + store.spilled_batches(), 6);
@@ -2308,14 +2007,10 @@ mod tests {
         // the DEN footprint.
         let (x, y) = dataset();
         let toc_total =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, usize::MAX))
-                .unwrap()
-                .total_bytes();
+            one_shard(&x, &y, StoreConfig::new(Scheme::Toc, 250, usize::MAX)).total_bytes();
         let budget = toc_total * 2;
-        let toc =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, budget)).unwrap();
-        let den =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 250, budget)).unwrap();
+        let toc = one_shard(&x, &y, StoreConfig::new(Scheme::Toc, 250, budget));
+        let den = one_shard(&x, &y, StoreConfig::new(Scheme::Den, 250, budget));
         assert_eq!(toc.spilled_batches(), 0);
         assert!(den.spilled_batches() > 0);
     }
@@ -2325,7 +2020,7 @@ mod tests {
         use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
         use toc_ml::LossKind;
         let (x, y) = dataset();
-        let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, 0)).unwrap();
+        let store = one_shard(&x, &y, StoreConfig::new(Scheme::Toc, 100, 0));
         let trainer = Trainer::new(MgdConfig {
             epochs: 8,
             lr: 0.3,
@@ -2341,11 +2036,68 @@ mod tests {
     #[test]
     fn spill_file_removed_on_drop() {
         let (x, y) = dataset();
-        let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 200, 0)).unwrap();
-        let path = store.spill_path.clone().unwrap();
+        let store = one_shard(&x, &y, StoreConfig::new(Scheme::Den, 200, 0));
+        assert_eq!(store.num_shards(), 1);
+        let path = store.inner.shard_paths[0].clone();
         assert!(path.exists());
         drop(store);
         assert!(!path.exists());
+    }
+
+    /// Every segment's encoded bytes, each counted once: resident batch
+    /// sizes plus spilled extents, over the whole table.
+    fn table_bytes(store: &ShardedSpillStore) -> u64 {
+        rlock(&store.inner.segments)
+            .iter()
+            .map(|seg| match &seg.body {
+                Body::Memory(b) => b.size_bytes() as u64,
+                Body::Disk(loc) => rlock(loc).len as u64,
+            })
+            .sum()
+    }
+
+    /// `total_bytes()` covers build-time segments and `appended_bytes()`
+    /// appended ones, so their sum is the store's whole encoded footprint
+    /// with nothing counted twice — on a built store (resident + spilled),
+    /// a streaming store (all appended) and a resumed one (re-registered
+    /// as appended). The end-to-end benchmark's compression ratio divides
+    /// by exactly this sum.
+    #[test]
+    fn build_and_append_byte_accounting_never_overlaps() {
+        let (x, y) = dataset();
+        let probe = one_shard(&x, &y, StoreConfig::new(Scheme::Csr, 100, usize::MAX));
+        let budget = probe.memory_bytes() / 2;
+        let built = ShardedSpillStore::build(
+            &x,
+            &y,
+            &StoreConfig::new(Scheme::Csr, 100, budget).with_shards(2),
+        )
+        .unwrap();
+        let footprint = |s: &ShardedSpillStore| s.total_bytes() as u64 + s.appended_bytes();
+        assert!(built.in_memory_batches() >= 1 && built.spilled_batches() >= 1);
+        assert_eq!(built.appended_bytes(), 0);
+        assert_eq!(footprint(&built), table_bytes(&built));
+
+        let config = StoreConfig::new(Scheme::Csr, 100, 0).with_shards(2);
+        let streaming = ShardedSpillStore::open_streaming(x.cols(), &config).unwrap();
+        for i in 0..6 {
+            let bytes = Scheme::Csr
+                .encode(&x.slice_rows(i * 100, (i + 1) * 100))
+                .to_bytes();
+            streaming
+                .append_sealed(&bytes, y[i * 100..(i + 1) * 100].to_vec())
+                .unwrap();
+        }
+        assert_eq!(streaming.total_bytes(), 0);
+        assert_eq!(streaming.appended_batches(), 6);
+        assert_eq!(footprint(&streaming), table_bytes(&streaming));
+
+        let ckpt = streaming.streaming_checkpoint();
+        let resumed = ShardedSpillStore::open_streaming_resume(x.cols(), &config, &ckpt).unwrap();
+        assert_eq!(resumed.total_bytes(), 0);
+        assert_eq!(resumed.appended_batches(), 6);
+        assert_eq!(resumed.appended_bytes(), streaming.appended_bytes());
+        assert_eq!(footprint(&resumed), table_bytes(&resumed));
     }
 
     #[test]
@@ -2362,12 +2114,7 @@ mod tests {
         assert!(per_shard.iter().all(|&b| b > 0), "{per_shard:?}");
         assert_eq!(per_shard.iter().sum::<u64>(), store.spilled_bytes() as u64);
         // Shard paths exist while the store lives and are removed on drop.
-        let paths: Vec<PathBuf> = store
-            .inner
-            .shard_meta
-            .iter()
-            .map(|s| s.path.clone())
-            .collect();
+        let paths = store.inner.shard_paths.clone();
         assert!(paths.iter().all(|p| p.exists()));
         for i in 0..store.num_batches() {
             store.visit(i, &mut |b, labels| {
@@ -2389,7 +2136,9 @@ mod tests {
         assert_eq!(store.spilled_batches(), 6);
         // Within a run, consecutive visit-order batches are back to back
         // in the same shard file — the layout the ring engine coalesces.
-        let locs: Vec<DiskLoc> = (0..6).map(|i| store.inner.disk_loc(i).unwrap()).collect();
+        let locs: Vec<DiskLoc> = (0..6)
+            .map(|i| store.inner.segment(i).disk_loc().unwrap())
+            .collect();
         let mut adjacent_pairs = 0;
         for w in locs.windows(2) {
             if w[0].shard == w[1].shard {
@@ -2418,12 +2167,10 @@ mod tests {
     #[test]
     fn sharded_partial_budget_matches_flat_layout() {
         let (x, y) = dataset();
-        let probe =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX)).unwrap();
+        let probe = one_shard(&x, &y, StoreConfig::new(Scheme::Csr, 100, usize::MAX));
         let budget = probe.memory_bytes() / 2;
         let config = StoreConfig::new(Scheme::Csr, 100, budget).with_shards(2);
-        let flat =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, budget)).unwrap();
+        let flat = one_shard(&x, &y, StoreConfig::new(Scheme::Csr, 100, budget));
         let sharded = ShardedSpillStore::build(&x, &y, &config).unwrap();
         assert_eq!(flat.in_memory_batches(), sharded.in_memory_batches());
         assert_eq!(flat.spilled_batches(), sharded.spilled_batches());
@@ -2547,7 +2294,7 @@ mod tests {
         // The accounted delay is deterministic: sum of len/mbps per read.
         let expected: u64 = (0..store.num_batches())
             .map(|i| {
-                let loc = store.inner.disk_loc(i).expect("spilled");
+                let loc = store.inner.segment(i).disk_loc().expect("spilled");
                 (loc.len as f64 / (mbps * 1e6) * 1e9) as u64
             })
             .sum();
@@ -2579,11 +2326,11 @@ mod tests {
             // strand the index in `pending`) or by the visitor's
             // synchronous path. Either way the visit must surface the IO
             // failure instead of waiting forever.
-            for shard in &store.inner.shard_meta {
+            for path in &store.inner.shard_paths {
                 OpenOptions::new()
                     .write(true)
                     .truncate(true)
-                    .open(&shard.path)
+                    .open(path)
                     .unwrap();
             }
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -13,7 +13,7 @@ use toc_data::store::{
     IoEngineKind, Pinning, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
-use toc_data::{DeviceProfile, MiniBatchStore};
+use toc_data::DeviceProfile;
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
@@ -72,9 +72,8 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 
     // (2) Single spill file, everything on disk.
     {
-        let store =
-            MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, batch_rows, 0))
-                .unwrap();
+        let config = StoreConfig::new(scheme, batch_rows, 0).with_shards(1);
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
         assert_eq!(store.spilled_batches(), 8);
         runs.push(train("single-file", &store, eval));
     }

@@ -295,3 +295,59 @@ fn nn_parallel_job_is_stable_under_contention() {
         "NN job's weights changed under multi-tenant contention"
     );
 }
+
+/// Tenants read streaming stores too: every batch of an `open_streaming`
+/// store was appended through `StoreIngest`, so none of it is build-time.
+/// An LR job served over it (through the shared cache, which must
+/// actually serve hits) consumes every appended batch — the backpressure
+/// watermark counts tenant reads — and lands bit-identical to a solo
+/// `Trainer::train` over the same store.
+#[test]
+fn tenant_job_over_streaming_store_matches_solo_training() {
+    use toc_data::StoreIngest;
+    use toc_formats::EncodeOptions;
+    use toc_ml::mgd::Trainer;
+
+    let ds = generate_preset(DatasetPreset::CensusLike, 480, 5);
+    let config = StoreConfig::new(Scheme::Toc, 60, 0).with_shards(2);
+    let store = ShardedSpillStore::open_streaming(ds.x.cols(), &config).unwrap();
+    let mut ing = StoreIngest::new(&store, 60, Some(Scheme::Toc), EncodeOptions::default());
+    for r in 0..ds.x.rows() {
+        ing.push_row(ds.x.row(r), ds.labels[r]).unwrap();
+    }
+    let stats = ing.finish().unwrap();
+    assert_eq!(store.num_batches(), 8);
+    assert_eq!(store.appended_batches(), 8);
+    assert_eq!(store.appended_bytes(), stats.encoded_bytes);
+
+    let mgd = MgdConfig {
+        epochs: 3,
+        lr: 0.1,
+        seed: 4,
+        record_curve: false,
+        shuffle_batches: true,
+    };
+    let spec = ModelSpec::Linear(LossKind::Logistic);
+    let store = Arc::new(store);
+    assert_eq!(store.pending_appends(), 8);
+    let server = JobServer::new(
+        Arc::clone(&store),
+        ServeConfig {
+            max_concurrent: 1,
+            cache_bytes: store.appended_bytes() as usize,
+        },
+    );
+    let outcomes = server.run(vec![JobSpec::new("lr", spec.clone(), mgd.clone())]);
+    store.stats().snapshot_stable().assert_consistent();
+    assert_eq!(store.pending_appends(), 0, "tenant reads consume batches");
+    let job = &outcomes[0];
+    assert_eq!(job.batches_visited, 3 * 8);
+    assert_eq!(job.cache_misses, 8, "one cold read per appended batch");
+    assert_eq!(job.cache_hits, 2 * 8);
+    let solo = Trainer::new(mgd).train(&spec, store.as_ref(), None);
+    assert_eq!(
+        job.weights,
+        solo.model.weights(),
+        "tenant job over a streaming store diverged from solo training"
+    );
+}

@@ -1,7 +1,7 @@
 //! Property tests for the out-of-core path: arbitrary (scheme ×
 //! batch_rows × budget × shards × prefetch × io engine) configurations
 //! round-trip through spill with decode-equality against the source
-//! matrix, for both the single-file and the sharded store — plus the
+//! matrix, for both the single-file (one-shard) and the sharded store — plus the
 //! placement-plan laws every policy (build-time stripe/pack/adaptive and
 //! the runtime adaptive planner) must satisfy: cover every batch exactly
 //! once, stay inside the shard range, respect capacity when feasible,
@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use toc_data::store::{
-    place_spilled, plan_adaptive, IoEngineKind, MiniBatchStore, ShardPlacement, ShardedSpillStore,
-    StoreConfig,
+    place_spilled, plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
@@ -57,7 +56,7 @@ proptest! {
 
         // Scale the budget off the true footprint so every case exercises
         // a meaningful memory/disk split (0% = all spilled, >100% = none).
-        let probe = MiniBatchStore::build(
+        let probe = ShardedSpillStore::build(
             &ds.x,
             &ds.labels,
             &StoreConfig::new(scheme, batch_rows, usize::MAX),
@@ -69,7 +68,9 @@ proptest! {
             .with_shards(shards)
             .with_prefetch(prefetch)
             .with_io(io);
-        let flat = MiniBatchStore::build(&ds.x, &ds.labels, &config).unwrap();
+        // The single-spill-file reference: one shard, no prefetch.
+        let flat_config = StoreConfig::new(scheme, batch_rows, budget).with_shards(1);
+        let flat = ShardedSpillStore::build(&ds.x, &ds.labels, &flat_config).unwrap();
         let sharded = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
 
         prop_assert_eq!(flat.num_batches(), n_batches);

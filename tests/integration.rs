@@ -49,8 +49,8 @@ fn spilled_training_is_bit_identical_to_resident_training() {
 }
 
 fn train_weights(ds: &toc_repro::data::synth::Dataset, scheme: Scheme, budget: usize) -> Vec<f64> {
-    let store = MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, budget))
-        .expect("store");
+    let config = StoreConfig::new(scheme, 100, budget).with_shards(1);
+    let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store");
     let trainer = Trainer::new(MgdConfig {
         epochs: 3,
         lr: 0.1,
@@ -71,8 +71,8 @@ fn store_roundtrip_is_bit_exact_for_all_presets() {
         let rows = 300;
         let ds = generate_preset(preset, rows, 17);
         for scheme in [Scheme::Toc, Scheme::Gzip, Scheme::Cla] {
-            let store = MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, 0))
-                .expect("store");
+            let config = StoreConfig::new(scheme, 100, 0).with_shards(1);
+            let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store");
             for i in 0..store.num_batches() {
                 store.visit(i, &mut |b, _| {
                     let want = ds.x.slice_rows(i * 100, ((i + 1) * 100).min(rows));
@@ -88,10 +88,10 @@ fn store_roundtrip_is_bit_exact_for_all_presets() {
 #[test]
 fn nn_multiclass_end_to_end() {
     let ds = generate_preset(DatasetPreset::MnistLike, 600, 5);
-    let store = MiniBatchStore::build(
+    let store = ShardedSpillStore::build(
         &ds.x,
         &ds.labels,
-        &StoreConfig::new(Scheme::Toc, 100, usize::MAX),
+        &StoreConfig::new(Scheme::Toc, 100, usize::MAX).with_shards(1),
     )
     .expect("store");
     let trainer = Trainer::new(MgdConfig {
@@ -115,10 +115,10 @@ fn nn_multiclass_end_to_end() {
 #[test]
 fn error_curve_improves() {
     let ds = generate_preset(DatasetPreset::ImagenetLike, 500, 21);
-    let store = MiniBatchStore::build(
+    let store = ShardedSpillStore::build(
         &ds.x,
         &ds.labels,
-        &StoreConfig::new(Scheme::Toc, 125, usize::MAX),
+        &StoreConfig::new(Scheme::Toc, 125, usize::MAX).with_shards(1),
     )
     .expect("store");
     let trainer = Trainer::new(MgdConfig {
