@@ -1,32 +1,27 @@
-//! Out-of-core read-path scaling: the mutexed-era single-file store vs.
-//! the sharded store vs. sharded + prefetch (sync, async pool, async
-//! ring), across schemes.
+//! Out-of-core read-path scaling: the single-file store vs. the sharded
+//! store vs. sharded + synchronous prefetch, across schemes.
 //!
-//! Everything spills (budget 0) and reads go through the simulated
-//! bandwidth model, so the numbers isolate how the read paths behave
-//! when IO is the wall: the single-file store serializes readers on one
-//! device clock, sharding gives each of N devices its own clock
-//! (aggregate bandwidth scales with N), prefetch overlaps the decode+IO
-//! of upcoming batches with the visitor's work, and the async engines
-//! additionally split submission from completion so read latency no
-//! longer serializes with decode inside each prefetch worker — the ring
-//! engine also coalesces file-adjacent reads into one request.
+//! Everything spills (budget 0). The sharded rows run twice: once on the
+//! simulated bandwidth model, where IO is the wall — the single-file store
+//! serializes readers on one device clock, sharding gives each of N
+//! devices its own clock (aggregate bandwidth scales with N), and
+//! prefetch overlaps the read+decode of upcoming batches with the
+//! visitor's work — and once unthrottled, on the page cache, where the
+//! rows show what prefetch costs when reads are nearly free.
 //!
-//! The binary ends with two acceptance gates (both assert, so CI fails
-//! loudly on a regression): the ring engine must beat single-worker
-//! synchronous prefetch by ≥ 1.3× throughput on the seeded multi-shard
-//! workload, and adaptive placement must beat static pack by ≥ 1.15×
-//! epoch throughput on the seeded *asymmetric-bandwidth* workload (one
-//! fast shard, three slow ones — the heterogeneity the profiler exists
-//! to discover).
+//! The binary ends with an acceptance gate (it asserts, so CI fails
+//! loudly on a regression): adaptive placement must beat static pack by
+//! ≥ 1.15× epoch throughput on the seeded *asymmetric-bandwidth* workload
+//! (one fast shard, three slow ones — the heterogeneity the profiler
+//! exists to discover).
 //!
 //! ```text
 //! cargo run -p toc-bench --release --bin store_scaling -- \
-//!     --rows=3000 --threads=8 --mbps=400 --shards=4 --prefetch=8 --io=ring
+//!     --rows=3000 --threads=8 --mbps=400 --shards=4 --prefetch=8
 //! ```
 
 use toc_bench::{arg, fmt_duration, mb_per_s, sweep_store, Table};
-use toc_data::store::{IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig};
+use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::Scheme;
 
@@ -37,120 +32,71 @@ fn main() {
     let mbps: f64 = arg("mbps", 400.0);
     let shards: usize = arg("shards", 0); // 0 = available parallelism
     let prefetch: usize = arg("prefetch", 8);
-    let io: IoEngineKind = arg("io", "ring".to_string()).parse().expect("--io");
     let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
     println!(
         "store_scaling: {rows} rows x {} cols, batch_rows={batch_rows}, budget=0 (all spilled), \
-         disk={mbps} MB/s, {threads} visitor threads",
+         device model {mbps} MB/s or unthrottled, {threads} visitor threads",
         ds.x.cols()
     );
 
     let mut table = Table::new(vec![
-        "scheme",
-        "store",
-        "spill MB",
-        "1T sweep",
-        "nT sweep",
-        "speedup",
-        "pf hit%",
-        "coalesced",
+        "scheme", "store", "device", "spill MB", "1T sweep", "nT sweep", "speedup", "pf hit%",
     ]);
     for scheme in [Scheme::Den, Scheme::Csr, Scheme::Gzip, Scheme::Toc] {
-        let base = StoreConfig::new(scheme, batch_rows, 0).with_disk_mbps(mbps);
-
+        let base = StoreConfig::new(scheme, batch_rows, 0);
+        let modeled = base.clone().with_disk_mbps(mbps);
         // (a) single-file store: one device clock for every reader.
-        let cfg = base.clone().with_shards(1);
-        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
-        let spill_mb = store.spilled_bytes() as f64 / 1e6;
-        let seq = sweep_store(&store, 1);
-        let par = sweep_store(&store, threads);
-        table.row(vec![
-            scheme.name().to_string(),
-            "1-file".into(),
-            format!("{spill_mb:.1}"),
-            fmt_duration(seq),
-            fmt_duration(par),
-            format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
-            "-".into(),
-            "-".into(),
-        ]);
-        drop(store);
-
         // (b) sharded: N independent device clocks, lock-free reads.
-        let cfg = base.clone().with_shards(shards);
-        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
-        let seq = sweep_store(&store, 1);
-        let par = sweep_store(&store, threads);
-        table.row(vec![
-            scheme.name().to_string(),
-            format!("sharded({})", store.num_shards()),
-            format!("{:.1}", store.spilled_bytes() as f64 / 1e6),
-            fmt_duration(seq),
-            fmt_duration(par),
-            format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
-            "-".into(),
-            "-".into(),
-        ]);
-        drop(store);
-
-        // (c) sharded + prefetch, each IO path: sync workers, async pool,
-        // async ring (ring rides the pack placement so adjacent reads
-        // exist to coalesce).
-        for (engine, placement) in [
-            (IoEngineKind::Sync, ShardPlacement::Stripe),
-            (IoEngineKind::Pool, ShardPlacement::Stripe),
-            (io, ShardPlacement::Pack),
-        ] {
-            let cfg = base
-                .clone()
-                .with_shards(shards)
-                .with_prefetch(prefetch)
-                .with_io(engine)
-                .with_placement(placement);
+        // (c) sharded + prefetch: workers read and decode ahead.
+        let legs = [
+            ("1-file", 1, 0, &modeled),
+            ("sharded", shards, 0, &modeled),
+            ("sharded", shards, 0, &base),
+            ("sharded", shards, prefetch, &modeled),
+            ("sharded", shards, prefetch, &base),
+        ];
+        for (name, n_shards, depth, cfg) in legs {
+            let cfg = cfg.clone().with_shards(n_shards).with_prefetch(depth);
             let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
             let seq = sweep_store(&store, 1);
             let par = sweep_store(&store, threads);
             let s = store.stats().snapshot_stable();
-            let visits = (s.prefetch_hits + s.prefetch_misses).max(1);
+            let visits = s.prefetch_hits + s.prefetch_misses;
             table.row(vec![
                 scheme.name().to_string(),
-                format!(
-                    "sharded({})+pf{}/{}{}",
-                    store.num_shards(),
-                    prefetch,
-                    engine,
-                    if placement == ShardPlacement::Pack {
-                        "+pack"
-                    } else {
-                        ""
-                    }
-                ),
+                match depth {
+                    0 => format!("{name}({})", store.num_shards()),
+                    k => format!("{name}({})+pf{k}", store.num_shards()),
+                },
+                match cfg.disk_mbps {
+                    Some(m) => format!("{m} MB/s"),
+                    None => "unthrottled".into(),
+                },
                 format!("{:.1}", store.spilled_bytes() as f64 / 1e6),
                 fmt_duration(seq),
                 fmt_duration(par),
                 format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
-                format!("{:.0}%", 100.0 * s.prefetch_hits as f64 / visits as f64),
-                format!("{}", s.coalesced_reads),
+                match visits {
+                    0 => "-".into(),
+                    v => format!("{:.0}%", 100.0 * s.prefetch_hits as f64 / v as f64),
+                },
             ]);
         }
     }
     table.print();
     println!(
         "(1T/nT sweep = wall time for 1/{threads} concurrent visitors to visit every batch once; \
-         pf hit% = spilled visits served by the prefetch pipeline; \
-         coalesced = reads that rode along a merged ring read)"
+         pf hit% = spilled visits served by the prefetch pipeline)"
     );
 
-    overlap_acceptance_gate();
     adaptive_acceptance_gate();
 }
 
-/// Acceptance gate for adaptive placement (ISSUE 5): on the seeded
+/// Acceptance gate for adaptive placement: on the seeded
 /// asymmetric-bandwidth workload — shard 0 at 400 MB/s, shards 1–3 at
 /// 25 MB/s — adaptive placement must reach ≥ 1.15× the steady-state
 /// epoch throughput of static pack placement. Both stores run the same
-/// pool-engine prefetch pipeline; the only difference is where the bytes
-/// live. Static pack spreads them evenly, so every epoch waits on the
+/// prefetch pipeline; the only difference is where the bytes live. Static pack spreads them evenly, so every epoch waits on the
 /// slow devices; adaptive profiles the shards during the warm-up epochs
 /// and re-packs hot bytes onto the fast device in proportion to measured
 /// bandwidth.
@@ -162,7 +108,6 @@ fn adaptive_acceptance_gate() {
     let base = StoreConfig::new(Scheme::Den, batch_rows, 0)
         .with_shards(4)
         .with_prefetch(8)
-        .with_io(IoEngineKind::Pool)
         .with_shard_mbps(shard_mbps.clone());
 
     // Steady-state epoch time: warm epochs first (the adaptive store
@@ -221,59 +166,5 @@ fn adaptive_acceptance_gate() {
         ratio >= 1.15,
         "adaptive placement regression: only {ratio:.2}x over static pack on the \
          asymmetric-bandwidth workload"
-    );
-}
-
-/// Acceptance gate for the async engine (ISSUE 4): on the seeded
-/// multi-shard workload, the ring engine must reach ≥ 1.3× the
-/// throughput of single-worker synchronous prefetch. The workload is
-/// fixed (independent of the CLI overrides above) so the gate measures
-/// the same thing on every run; the bandwidth model makes IO the wall,
-/// which is exactly the regime overlap is supposed to win.
-fn overlap_acceptance_gate() {
-    let rows = 2000;
-    let batch_rows = 100;
-    let mbps = 80.0;
-    let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
-    let base = StoreConfig::new(Scheme::Den, batch_rows, 0)
-        .with_shards(4)
-        .with_disk_mbps(mbps);
-
-    // Single-worker synchronous prefetch: depth 1 = one worker whose
-    // read blocks serialize with its decodes.
-    let sync_store = ShardedSpillStore::build(&ds.x, &ds.labels, &base.clone().with_prefetch(1))
-        .expect("store build");
-    let sync_time = sweep_store(&sync_store, 1);
-    let bytes = sync_store.spilled_bytes();
-    let sync_tp = mb_per_s(bytes, sync_time);
-    drop(sync_store);
-
-    // Ring engine: lookahead submissions keep reads in flight on all four
-    // shard clocks while decode workers drain completions.
-    let ring_cfg = base
-        .with_prefetch(8)
-        .with_io(IoEngineKind::Ring)
-        .with_placement(ShardPlacement::Pack);
-    let ring_store = ShardedSpillStore::build(&ds.x, &ds.labels, &ring_cfg).expect("store build");
-    let ring_time = sweep_store(&ring_store, 1);
-    let ring_tp = mb_per_s(bytes, ring_time);
-    let s = ring_store.stats().snapshot_stable();
-    s.assert_consistent();
-    drop(ring_store);
-
-    let ratio = ring_tp / sync_tp;
-    println!(
-        "overlap acceptance: sync1 {:.1} MB/s ({}), ring {:.1} MB/s ({}), \
-         ratio {ratio:.2}x (gate: >= 1.30x), coalesced {} of {} completions",
-        sync_tp,
-        fmt_duration(sync_time),
-        ring_tp,
-        fmt_duration(ring_time),
-        s.coalesced_reads,
-        s.completed,
-    );
-    assert!(
-        ratio >= 1.3,
-        "overlap regression: ring engine only {ratio:.2}x over single-worker sync prefetch"
     );
 }

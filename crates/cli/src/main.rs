@@ -81,27 +81,20 @@ USAGE:
   toc bench <in.csv> [--batch-rows <n>]
   toc train <in.csv|in.tocz> [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>] [--scheme <s>] [--batch-rows <n>]
             [--budget <bytes>] [--shards <n>] [--prefetch <k>] [--mbps <f>]
-            [--io <sync|pool|ring>] [--placement <stripe|pack|adaptive>] [--adaptive]
-            [--pin] [--pin-map <t0,t1,...>] [--io-threads <n>] [--decode-workers <n>]
+            [--placement <stripe|pack|adaptive>] [--adaptive]
             [--follow] [--window <batches>] [--max-pending <chunks>]
             [--poll-ms <n>] [--idle-ms <n>]
             (the last CSV column is the ±1 label; --budget trains over the
              out-of-core sharded spill store: batches beyond the budget
-             spill to --shards files and are read back through a
-             --prefetch-deep background decode pipeline, optionally under
-             an --mbps bandwidth model. --io picks the spill-IO engine:
-             sync reads inside each prefetch worker, an async worker pool,
-             or the batched ring engine that coalesces adjacent reads;
+             spill to --shards files and are read back through --prefetch
+             background workers that each read and decode one upcoming
+             batch, optionally under an --mbps bandwidth model.
              --placement pack lays consecutive spilled batches out
-             file-adjacent so ring submissions merge, and adaptive
-             (shorthand: --adaptive) profiles per-shard bandwidth at
-             runtime and re-packs hot batches onto the fastest shards
-             between epochs. --pin gives ring threads a stable automatic
-             shard assignment and stripes completions into per-decode-
-             worker lanes; --pin-map pins shard i to IO thread t_i
-             explicitly (exactly one entry per shard, each < --io-threads);
-             --io-threads/--decode-workers size the engine (0 = auto).
-             A .tocz input trains straight off the container: with
+             file-adjacent, and adaptive (shorthand: --adaptive) profiles
+             per-shard bandwidth at runtime and re-packs hot batches onto
+             the fastest shards between epochs. Prints machine-parseable
+             \"io-read:\" (read-latency percentiles) and \"placement:\"
+             lines. A .tocz input trains straight off the container: with
              --budget the sharded store streams v2 segments through the
              seekable reader, one decoded segment in memory at a time.
              --follow (requires --budget) tails the CSV *file itself* —
@@ -122,7 +115,7 @@ USAGE:
   toc serve <in.csv|in.tocz> [--jobs <n>] [--script <file>] [--max-concurrent <n>]
             [--cache-budget <bytes>] [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>]
             [--seed <n>] [--shares <s0,s1,...>] [--scheme <s>] [--batch-rows <n>]
-            [--budget <bytes>] [--shards <n>] [--mbps <f>] [--io <sync|pool|ring>]
+            [--budget <bytes>] [--shards <n>] [--mbps <f>]
             [--placement <stripe|pack|adaptive>] [--adaptive]
             (multi-tenant mode: run --jobs concurrent training jobs over ONE
              shared spill store (--budget defaults to 0: everything spills)
@@ -138,16 +131,17 @@ USAGE:
              \"job: key=value ...\" line per job and a \"serve: ...\"
              aggregate line)
 
-  compress/bench/train also accept the CLA co-coding knobs:
+  ingest/compress/bench/train/serve also accept the CLA co-coding knobs:
     --cla-planner <greedy|sample>   column grouping algorithm (default sample)
     --cla-sample <rows>             planner sample size (default 256)
   `--scheme auto` (compress) picks the smallest-estimate scheme per dataset,
   judging CLA by its planner estimate instead of a full encode probe.
+  Every command rejects options it does not list above.
 ";
 
 /// Options that are plain flags (no value follows them). Everything else
 /// starting with `--` consumes the next token as its value.
-const BOOL_FLAGS: &[&str] = &["--adaptive", "--pin", "--follow", "--resume"];
+const BOOL_FLAGS: &[&str] = &["--adaptive", "--follow", "--resume"];
 
 /// Fetch `--name value` from an argument list.
 fn opt(args: &[String], name: &str) -> Option<String> {
@@ -163,7 +157,10 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
+/// The positional arguments, after checking that every `--option` is one
+/// the command accepts: a misspelled or retired option is an error that
+/// names it, never silently ignored (or left to swallow a positional).
+fn positional<'a>(args: &'a [String], accepted: &[&str]) -> Result<Vec<&'a String>, String> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in args.iter() {
@@ -172,16 +169,19 @@ fn positional(args: &[String]) -> Vec<&String> {
             continue;
         }
         if a.starts_with("--") {
+            if !accepted.contains(&a.as_str()) {
+                return Err(format!("unknown option {a}; see `toc help`"));
+            }
             // Value-less flags don't consume the next token.
             skip = !BOOL_FLAGS.contains(&a.as_str());
             continue;
         }
         out.push(a);
     }
-    out
+    Ok(out)
 }
 
-/// Parse the CLA planner knobs shared by compress/bench/train.
+/// Parse the CLA planner knobs shared by ingest/compress/bench/train/serve.
 fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
     let mut cla = ClaOptions::default();
     if let Some(p) = opt(args, "--cla-planner") {
@@ -196,6 +196,21 @@ fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
         }
     }
     Ok(EncodeOptions { cla })
+}
+
+/// `--placement <p>`, or `--adaptive` as its shorthand (default stripe).
+fn parse_placement(args: &[String]) -> Result<toc_data::ShardPlacement, String> {
+    let placement = match opt(args, "--placement") {
+        Some(p) => p.parse()?,
+        None => toc_data::ShardPlacement::Stripe,
+    };
+    if !has_flag(args, "--adaptive") {
+        return Ok(placement);
+    }
+    if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
+        return Err("--adaptive conflicts with the explicit --placement".into());
+    }
+    Ok(toc_data::ShardPlacement::Adaptive)
 }
 
 fn parse_scheme(s: &str) -> Result<Scheme, String> {
@@ -224,6 +239,7 @@ fn read_csv_matrix(path: &Path) -> Result<DenseMatrix, String> {
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     use toc_data::synth::{generate_preset, DatasetPreset};
+    let out = positional(args, &["--preset", "--rows", "--seed"])?;
     let preset_name = opt(args, "--preset").ok_or("--preset required")?;
     let preset = DatasetPreset::ALL
         .into_iter()
@@ -236,7 +252,6 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let seed: u64 = opt(args, "--seed")
         .map(|s| s.parse().unwrap_or(42))
         .unwrap_or(42);
-    let out = positional(args);
     let out: &Path = Path::new(out.first().ok_or("output path required")?);
     let ds = generate_preset(preset, rows, seed);
     // Emit features plus the label as the last column.
@@ -257,7 +272,17 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
     use toc_data::{ingest_csv_container, CsvContainerJob};
-    let pos = positional(args);
+    let pos = positional(
+        args,
+        &[
+            "--chunk-rows",
+            "--scheme",
+            "--checkpoint-every",
+            "--resume",
+            "--cla-planner",
+            "--cla-sample",
+        ],
+    )?;
     let [input, output] = pos[..] else {
         return Err(
             "usage: toc ingest <in.csv> <out.tocz> [--resume] [--checkpoint-every <chunks>]".into(),
@@ -348,7 +373,18 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
+    let pos = positional(
+        args,
+        &[
+            "--scheme",
+            "--codec",
+            "--segment-rows",
+            "--batch-rows",
+            "--container-version",
+            "--cla-planner",
+            "--cla-sample",
+        ],
+    )?;
     let [input, output] = pos[..] else {
         return Err("usage: toc compress <in.csv> <out.tocz>".into());
     };
@@ -437,7 +473,7 @@ fn container_version(path: &Path) -> Result<u8, String> {
 }
 
 fn cmd_decompress(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
+    let pos = positional(args, &["--rows", "--parallel"])?;
     let [input, output] = pos[..] else {
         return Err("usage: toc decompress <in.tocz> <out.csv>".into());
     };
@@ -517,7 +553,7 @@ fn print_layout_node(node: &toc_formats::container::LayoutNode, depth: usize, bu
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
+    let pos = positional(args, &[])?;
     let [input] = pos[..] else {
         return Err("usage: toc inspect <in.tocz>".into());
     };
@@ -578,7 +614,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
+    let pos = positional(args, &["--batch-rows", "--cla-planner", "--cla-sample"])?;
     let [input] = pos[..] else {
         return Err("usage: toc bench <in.csv>".into());
     };
@@ -629,7 +665,29 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 fn cmd_train(args: &[String]) -> Result<(), String> {
     use toc_ml::mgd::{MemoryProvider, MgdConfig, ModelSpec, Trainer};
     use toc_ml::LossKind;
-    let pos = positional(args);
+    let pos = positional(
+        args,
+        &[
+            "--model",
+            "--epochs",
+            "--lr",
+            "--scheme",
+            "--batch-rows",
+            "--budget",
+            "--shards",
+            "--prefetch",
+            "--mbps",
+            "--placement",
+            "--adaptive",
+            "--follow",
+            "--window",
+            "--max-pending",
+            "--poll-ms",
+            "--idle-ms",
+            "--cla-planner",
+            "--cla-sample",
+        ],
+    )?;
     let [input] = pos[..] else {
         return Err("usage: toc train <in.csv>".into());
     };
@@ -684,58 +742,17 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let io: toc_data::IoEngineKind = match opt(args, "--io") {
-        Some(s) => s.parse()?,
-        None => toc_data::IoEngineKind::Sync,
-    };
-    let mut placement: toc_data::ShardPlacement = match opt(args, "--placement") {
-        Some(s) => s.parse()?,
-        None => toc_data::ShardPlacement::Stripe,
-    };
-    if has_flag(args, "--adaptive") {
-        if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
-            return Err("--adaptive conflicts with the explicit --placement".into());
-        }
-        placement = toc_data::ShardPlacement::Adaptive;
-    }
-    let pinning = match (has_flag(args, "--pin"), opt(args, "--pin-map")) {
-        (true, Some(_)) => {
-            return Err("--pin (automatic) and --pin-map (explicit) are mutually exclusive".into())
-        }
-        (true, None) => toc_data::Pinning::Auto,
-        (false, Some(map)) => {
-            let map: Vec<usize> = map
-                .split(',')
-                .map(|t| t.trim().parse().map_err(|e| format!("--pin-map: {e}")))
-                .collect::<Result<_, String>>()?;
-            toc_data::Pinning::Fixed(map)
-        }
-        (false, None) => toc_data::Pinning::Off,
-    };
-    let scheduler = toc_data::SchedulerConfig {
-        io_threads: match opt(args, "--io-threads") {
-            Some(s) => s.parse().map_err(|e| format!("--io-threads: {e}"))?,
-            None => 0,
-        },
-        decode_workers: match opt(args, "--decode-workers") {
-            Some(s) => s.parse().map_err(|e| format!("--decode-workers: {e}"))?,
-            None => 0,
-        },
-        pinning,
-    };
+    let placement = parse_placement(args)?;
     if budget.is_none()
         && (shards > 0
             || prefetch > 0
             || mbps.is_some()
-            || opt(args, "--io").is_some()
             || opt(args, "--placement").is_some()
-            || has_flag(args, "--adaptive")
-            || scheduler != toc_data::SchedulerConfig::default())
+            || has_flag(args, "--adaptive"))
     {
         return Err(
-            "--shards/--prefetch/--mbps/--io/--placement/--adaptive/--pin/--pin-map/\
-             --io-threads/--decode-workers configure the out-of-core store; \
-             pass --budget <bytes> to enable it"
+            "--shards/--prefetch/--mbps/--placement/--adaptive configure the out-of-core \
+             store; pass --budget <bytes> to enable it"
                 .into(),
         );
     }
@@ -786,9 +803,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         let mut config = StoreConfig::new(scheme, batch_rows, budget.expect("validated above"))
             .with_shards(shards)
             .with_prefetch(prefetch)
-            .with_io(io)
             .with_placement(placement)
-            .with_scheduler(scheduler)
             .with_encode_options(encode_opts)
             .with_max_pending(max_pending);
         if let Some(mbps) = mbps {
@@ -832,9 +847,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         let mut config = StoreConfig::new(scheme, batch_rows, budget)
             .with_shards(shards)
             .with_prefetch(prefetch)
-            .with_io(io)
             .with_placement(placement)
-            .with_scheduler(scheduler)
             .with_encode_options(encode_opts);
         if let Some(mbps) = mbps {
             config = config.with_disk_mbps(mbps);
@@ -867,21 +880,15 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             s.prefetch_misses,
             std::time::Duration::from_nanos(s.throttle_ns),
         );
-        // Machine-parseable engine stats (the CLI smoke tests parse this
+        // Machine-parseable read stats (the CLI smoke tests parse this
         // line): key=value pairs only, one per field.
         println!(
-            "io-engine: kind={io} placement={placement} submitted={} completed={} \
-             coalesced={} max-in-flight={} lat-p50-us={} lat-p99-us={}",
-            s.submitted,
-            s.completed,
-            s.coalesced_reads,
-            s.max_in_flight,
+            "io-read: placement={placement} lat-p50-us={} lat-p99-us={}",
             s.latency_percentile_us(50),
             s.latency_percentile_us(99),
         );
-        // Machine-parseable placement/scheduling stats (the CLI smoke
-        // tests parse this line too): key=value pairs, list values joined
-        // with '/'.
+        // Machine-parseable placement stats (the CLI smoke tests parse
+        // this line too): key=value pairs, list values joined with '/'.
         let p = store.placement_report();
         let join = |it: Vec<String>| {
             if it.is_empty() {
@@ -891,11 +898,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             }
         };
         println!(
-            "placement: policy={} pin={} io-threads={} decode-workers={} rebalances={} \
-             migrated={} migrated-kb={} ewma-mbps={} shard-kb={}",
+            "placement: policy={} decode-workers={} rebalances={} migrated={} migrated-kb={} \
+             ewma-mbps={} shard-kb={}",
             p.policy,
-            p.pinning.name(),
-            p.io_threads,
             p.decode_workers,
             p.rebalances,
             p.migrated_batches,
@@ -1143,7 +1148,29 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use toc_ml::mgd::{MgdConfig, ModelSpec};
     use toc_ml::LossKind;
 
-    let pos = positional(args);
+    let pos = positional(
+        args,
+        &[
+            "--jobs",
+            "--script",
+            "--max-concurrent",
+            "--cache-budget",
+            "--model",
+            "--epochs",
+            "--lr",
+            "--seed",
+            "--shares",
+            "--scheme",
+            "--batch-rows",
+            "--budget",
+            "--shards",
+            "--mbps",
+            "--placement",
+            "--adaptive",
+            "--cla-planner",
+            "--cla-sample",
+        ],
+    )?;
     let [input] = pos[..] else {
         return Err("usage: toc serve <in.csv|in.tocz> [--jobs <n>] ...".into());
     };
@@ -1172,20 +1199,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let io: toc_data::IoEngineKind = match opt(args, "--io") {
-        Some(s) => s.parse()?,
-        None => toc_data::IoEngineKind::Sync,
-    };
-    let mut placement: toc_data::ShardPlacement = match opt(args, "--placement") {
-        Some(s) => s.parse()?,
-        None => toc_data::ShardPlacement::Stripe,
-    };
-    if has_flag(args, "--adaptive") {
-        if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
-            return Err("--adaptive conflicts with the explicit --placement".into());
-        }
-        placement = toc_data::ShardPlacement::Adaptive;
-    }
+    let placement = parse_placement(args)?;
     let max_concurrent: usize = match opt(args, "--max-concurrent") {
         Some(s) => s.parse().map_err(|e| format!("--max-concurrent: {e}"))?,
         None => 0,
@@ -1286,7 +1300,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let mut config = StoreConfig::new(scheme, batch_rows, budget)
         .with_shards(shards)
-        .with_io(io)
         .with_placement(placement)
         .with_encode_options(encode_opts);
     if let Some(mbps) = mbps {
@@ -1391,27 +1404,47 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(opt(&args, "--scheme").as_deref(), Some("toc"));
-        assert_eq!(positional(&args), vec!["a.csv", "b.tocz"]);
+        assert_eq!(
+            positional(&args, &["--scheme"]).unwrap(),
+            vec!["a.csv", "b.tocz"]
+        );
     }
 
     #[test]
     fn boolean_flags_do_not_swallow_positionals() {
-        // `--adaptive` and `--pin` take no value: the token after them is
-        // still positional.
-        let args: Vec<String> = ["--adaptive", "a.csv", "--pin", "--epochs", "3"]
+        // `--adaptive` and `--follow` take no value: the token after them
+        // is still positional.
+        let args: Vec<String> = ["--adaptive", "a.csv", "--follow", "--epochs", "3"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert!(has_flag(&args, "--adaptive"));
-        assert!(has_flag(&args, "--pin"));
-        assert_eq!(positional(&args), vec!["a.csv"]);
+        assert!(has_flag(&args, "--follow"));
+        let accepted = ["--adaptive", "--follow", "--epochs"];
+        assert_eq!(positional(&args, &accepted).unwrap(), vec!["a.csv"]);
         assert_eq!(opt(&args, "--epochs").as_deref(), Some("3"));
         let none: Vec<String> = vec!["a.csv".into()];
         assert!(!has_flag(&none, "--adaptive"));
     }
 
     #[test]
-    fn adaptive_and_pin_flag_combinations() {
+    fn unknown_options_are_rejected_by_name() {
+        let args: Vec<String> = ["a.csv", "--epochs", "1", "--io-thredas", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = positional(&args, &["--epochs"]).unwrap_err();
+        assert!(err.contains("--io-thredas"), "{err}");
+        // A value that looks like an option is still the value.
+        let args: Vec<String> = ["--scheme", "--x", "a.csv"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(positional(&args, &["--scheme"]).unwrap(), vec!["a.csv"]);
+    }
+
+    #[test]
+    fn adaptive_flag_combinations() {
         let csv = crate::testutil::TempPath::new("cli-adaptive", "csv");
         cmd_gen(&[
             "--preset".into(),
@@ -1439,26 +1472,9 @@ mod tests {
         cmd_train(&base(&["--placement", "adaptive", "--adaptive"])).unwrap();
         // Conflicting explicit placement rejected.
         assert!(cmd_train(&base(&["--placement", "pack", "--adaptive"])).is_err());
-        // --pin and --pin-map are mutually exclusive; a fixed map must
-        // validate against the shard/thread shape.
-        assert!(cmd_train(&base(&["--pin", "--pin-map", "0,1"])).is_err());
-        assert!(cmd_train(&base(&["--pin-map", "0,x"])).is_err());
-        cmd_train(&base(&[
-            "--prefetch",
-            "2",
-            "--io",
-            "ring",
-            "--pin-map",
-            "1,0",
-            "--io-threads",
-            "2",
-            "--decode-workers",
-            "2",
-        ]))
-        .unwrap();
+        cmd_train(&base(&["--prefetch", "2", "--adaptive"])).unwrap();
         // Out-of-core flags still demand --budget.
         assert!(cmd_train(&[csv.arg(), "--adaptive".into()]).is_err());
-        assert!(cmd_train(&[csv.arg(), "--pin".into()]).is_err());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! with real disk spill that reproduce the in-memory/out-of-core regimes
 //! of the end-to-end experiments (Tables 6–7, Figures 9–11): the sharded,
 //! prefetching [`ShardedSpillStore`], whose one segment table holds
-//! built and streamed batches alike. [`io`] is the async spill-IO seam underneath —
-//! a submission/completion [`SpillIo`] trait with a portable worker-pool
-//! backend and a coalescing ring backend — and [`testing`] provides a
-//! fault-injecting engine double for adversarial scheduling tests.
+//! built and streamed batches alike. [`io`] is the spill read path
+//! underneath — positional reads, the simulated device model and the IO
+//! counters — and [`testing`] injects read and write faults into it for
+//! adversarial tests.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
 //! training jobs over one shared store and one heat-aware compressed
 //! batch cache.
@@ -30,8 +30,8 @@ pub use ingest::{
 };
 
 pub use io::{
-    BandwidthProfile, DeviceProfile, IoEngineKind, IoSnapshot, IoStats, LatencyHistogram, Pinning,
-    SchedulerConfig, SeekableContainer, SpillIo, LATENCY_BUCKETS,
+    BandwidthProfile, DeviceProfile, IoSnapshot, IoStats, LatencyHistogram, SeekableContainer,
+    LATENCY_BUCKETS,
 };
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
 pub use store::{

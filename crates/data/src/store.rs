@@ -16,12 +16,8 @@
 //! ([`crate::io::SpillFile`]), so concurrent visitors never serialize on
 //! a shared file cursor. An optional prefetch pipeline
 //! ([`StoreConfig::with_prefetch`]) keeps upcoming build-time batches
-//! decoded while the trainer computes on the current one. With
-//! [`StoreConfig::with_io`] the pipeline runs on an async [`SpillIo`]
-//! engine — submissions and completions split, so K reads stay in flight
-//! per shard while decode workers parse completed buffers; without it
-//! each prefetch worker reads synchronously (read latency serializes with
-//! decode per worker).
+//! decoded while the trainer computes on the current one: each worker
+//! reads one batch and decodes it, then takes the next.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{self, File, OpenOptions};
@@ -35,13 +31,8 @@ use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
-use crate::io::{
-    lock, rlock, wait, wlock, IoShards, PoolIo, RingIo, SpillDevice, SpillRequest, Ticket,
-    MAX_IO_THREADS,
-};
-pub use crate::io::{
-    DeviceProfile, IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo,
-};
+use crate::io::{lock, rlock, wait, wlock, IoShards, SpillDevice};
+pub use crate::io::{DeviceProfile, IoSnapshot, IoStats};
 
 /// How spilled batches are laid out across the shard files.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,9 +45,9 @@ pub enum ShardPlacement {
     /// Compression-aware packing: consecutive spilled batches fill one
     /// shard until a byte-sized run target, then move to the next shard
     /// (runs round-robin over shards). Small, highly-compressed batches
-    /// cluster adjacently in one file, so a ring-engine lookahead burst
-    /// over them coalesces into a handful of large reads — one
-    /// submission fetches several batches.
+    /// cluster adjacently in one file, so a sweep reads each shard
+    /// sequentially. The adaptive planner's starting layout, and the
+    /// baseline its acceptance gate measures against.
     Pack,
     /// Bandwidth-profiled adaptive placement: batches start in the `Pack`
     /// layout, every physical read charges its observed throughput into
@@ -119,32 +110,29 @@ pub struct StoreConfig {
     /// `len / mbps` interval on that device's timeline and sleeps until
     /// the reservation completes, so concurrent readers of one shard
     /// share its bandwidth while readers of different shards proceed in
-    /// parallel. Under an async engine the engine's IO threads absorb the
-    /// sleep, overlapping it with decode. `None` performs raw IO only.
+    /// parallel. A prefetch worker absorbs the sleep of the read it
+    /// serves, overlapping it with the trainer's compute. `None` performs
+    /// raw IO only.
     pub disk_mbps: Option<f64>,
     /// Number of shard files for [`ShardedSpillStore`]; `0` means one
     /// shard per available hardware thread.
     pub shards: usize,
     /// Prefetch pipeline depth for [`ShardedSpillStore`]: how many
-    /// upcoming spilled batches the pipeline keeps decoded (or in
-    /// flight) ahead of the visitors. `0` disables prefetch.
+    /// upcoming spilled batches the pipeline keeps scheduled ahead of the
+    /// visitors, and how many workers (up to 8) read and decode them.
+    /// `0` disables prefetch.
     pub prefetch: usize,
-    /// Spill-IO engine for the prefetch pipeline (see [`IoEngineKind`]).
-    pub io: IoEngineKind,
     /// Spilled-batch layout across shard files.
     pub placement: ShardPlacement,
-    /// IO-thread/decode-worker scheduling and shard pinning for the
-    /// prefetch pipeline (see [`SchedulerConfig`]).
-    pub scheduler: SchedulerConfig,
     /// Per-shard simulated device profiles (cycled over the shards when
     /// shorter). Overrides the uniform `disk_mbps` per device — this is
     /// how heterogeneous storage tiers enter the model. Empty = uniform.
     pub shard_profiles: Vec<DeviceProfile>,
-    /// Fault-injection plan for the prefetch pipeline: when set, the
-    /// pipeline runs on a [`crate::testing::FaultyIo`] engine that
-    /// injects latency, chunked short reads, `EINTR`-style retries and
-    /// out-of-order completions (test support; overrides `io`, and its
-    /// `device_profiles` override `shard_profiles`).
+    /// Fault-injection plan (test support): when set, every spill read
+    /// goes through [`crate::testing::FaultPlan::faulty_read`] (latency,
+    /// chunked short reads, `EINTR`-style retries), every streaming
+    /// append through its write faults, and its `device_profiles`
+    /// override `shard_profiles`.
     pub fault: Option<crate::testing::FaultPlan>,
     /// Per-scheme encoding knobs (CLA planner choice and sample size).
     pub encode: toc_formats::EncodeOptions,
@@ -167,9 +155,7 @@ impl StoreConfig {
             disk_mbps: None,
             shards: 0,
             prefetch: 0,
-            io: IoEngineKind::Sync,
             placement: ShardPlacement::Stripe,
-            scheduler: SchedulerConfig::default(),
             shard_profiles: Vec::new(),
             fault: None,
             encode: toc_formats::EncodeOptions::default(),
@@ -216,22 +202,9 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style IO-engine override.
-    pub fn with_io(mut self, io: IoEngineKind) -> Self {
-        self.io = io;
-        self
-    }
-
     /// Builder-style shard-placement override.
     pub fn with_placement(mut self, placement: ShardPlacement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Builder-style scheduler override (IO threads, decode workers,
-    /// shard pinning).
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -637,7 +610,11 @@ impl Inner {
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
             placement_stats: PlacementStats::default(),
-            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
+            io: Arc::new(IoShards::new(
+                devices,
+                config.disk_mbps,
+                config.fault.clone(),
+            )),
         }
     }
 
@@ -664,19 +641,20 @@ impl Inner {
     }
 
     /// The write path of every segment this store spills, built or
-    /// appended, called with the append lock held: the bytes land at `shard`'s cursor (through the
-    /// write-fault plan when one is given), then the segment is
-    /// published. Returns its batch index.
+    /// appended, called with the append lock held: the bytes land at
+    /// `shard`'s cursor (through the store's write faults when `faulty`
+    /// and a fault plan is set), then the segment is published. Returns
+    /// its batch index.
     fn append_disk(
         &self,
         append: &mut AppendState,
         shard: usize,
         bytes: &[u8],
         labels: Vec<f64>,
-        fault: Option<&crate::testing::FaultPlan>,
+        faulty: bool,
     ) -> std::io::Result<usize> {
         let offset = append.cursors[shard];
-        match fault {
+        match self.io.fault.as_ref().filter(|_| faulty) {
             Some(plan) => {
                 let seq = self.sealed.load(Ordering::Relaxed) - self.base;
                 plan.faulty_append(&self.io, shard, offset, bytes, seq as u64)?
@@ -715,19 +693,10 @@ impl Inner {
 
 #[derive(Default)]
 struct PrefetchState {
-    /// Sync mode: indices scheduled but not yet picked up by a worker.
+    /// Indices scheduled but not yet picked up by a worker.
     queue: VecDeque<usize>,
-    /// Indices the pipeline owns right now: being read by a sync worker,
-    /// in flight on the async engine, or decoding.
+    /// Indices a worker is reading or decoding right now.
     pending: HashSet<usize>,
-    /// Async mode: engine ticket → entry index, for routing completions.
-    tickets: HashMap<Ticket, usize>,
-    /// Async mode: submitted-but-not-completed requests per shard (the
-    /// per-shard K cap).
-    in_flight_shard: Vec<usize>,
-    /// Async mode: recycled read buffers; submission pops, decode pushes
-    /// back, so steady-state prefetching allocates only decoded batches.
-    buf_pool: Vec<Vec<u8>>,
     /// Decoded batches awaiting their visitor.
     ready: HashMap<usize, AnyBatch>,
     shutdown: bool,
@@ -735,24 +704,20 @@ struct PrefetchState {
 
 struct PrefetchShared {
     state: Mutex<PrefetchState>,
-    /// Wakes sync workers: new work queued, backpressure released, shutdown.
+    /// Wakes workers: new work queued, backpressure released, shutdown.
     work: Condvar,
     /// Wakes visitors blocked on an in-flight slot.
     done: Condvar,
 }
 
-/// Background decode pipeline. In sync mode worker threads pull scheduled
-/// indices, read them from the shards (positional IO, per-shard throttle)
-/// into reusable [`ExecScratch`]-backed slots, and park the decoded
-/// batches for the visitors. In async mode ([`StoreConfig::with_io`])
-/// submission happens at schedule time — the visitor's lookahead submits
-/// straight to the [`SpillIo`] engine, keeping up to `depth` reads in
-/// flight per shard — and the workers only harvest completions and
-/// decode. Backpressure caps owned-but-unconsumed slots at `2 × depth`
-/// either way.
+/// Background decode pipeline: worker threads pull scheduled indices,
+/// read them from the shards ([`IoShards::read_range`]: positional IO,
+/// per-shard throttle, faults when a plan is set) into reusable
+/// [`ExecScratch`]-backed slots, and park the decoded batches for the
+/// visitors. Each visit schedules the next `depth` spilled indices;
+/// backpressure caps decoded-but-unconsumed batches at `2 × depth`.
 struct Prefetcher {
     shared: Arc<PrefetchShared>,
-    engine: Option<Arc<dyn SpillIo>>,
     depth: usize,
     /// Indices of the spilled build-time segments, ascending — the cyclic
     /// orbit the lookahead walks (a store can hold arbitrarily many
@@ -765,104 +730,28 @@ struct Prefetcher {
 
 const MAX_PREFETCH_WORKERS: usize = 8;
 
-/// Submit the next spilled indices after `after` (cyclically, so the
-/// pipeline stays warm across epoch boundaries) straight to the async
-/// engine, honoring the global `2 × depth` backpressure window and the
-/// per-shard in-flight cap of `depth`.
-fn submit_lookahead(
-    inner: &Inner,
-    engine: &dyn SpillIo,
-    st: &mut PrefetchState,
-    order: &[usize],
-    after: Option<usize>,
-    depth: usize,
-) {
-    let start = match after {
-        Some(idx) => order.partition_point(|&i| i <= idx),
-        None => 0,
-    };
-    // Early-exit bookkeeping: once every shard is at its in-flight cap no
-    // later candidate can submit either, so the walk must stop instead of
-    // scanning the whole spilled order under the state lock.
-    let mut open_shards = st.in_flight_shard.iter().filter(|&&n| n < depth).count();
-    for k in 0..order.len() {
-        if open_shards == 0 || st.pending.len() + st.ready.len() >= 2 * depth {
-            break;
-        }
-        let i = order[(start + k) % order.len()];
-        if st.pending.contains(&i) || st.ready.contains_key(&i) {
-            continue;
-        }
-        let loc = inner
-            .segment(i)
-            .disk_loc()
-            .expect("prefetch orbit holds a resident segment");
-        if st.in_flight_shard[loc.shard] >= depth {
-            continue;
-        }
-        let buf = st.buf_pool.pop().unwrap_or_default();
-        let ticket = engine.submit(
-            SpillRequest {
-                shard: loc.shard,
-                offset: loc.offset,
-                len: loc.len,
-            },
-            buf,
-        );
-        st.tickets.insert(ticket, i);
-        st.pending.insert(i);
-        st.in_flight_shard[loc.shard] += 1;
-        if st.in_flight_shard[loc.shard] >= depth {
-            open_shards -= 1;
-        }
-    }
-}
-
 impl Prefetcher {
-    fn start(
-        inner: Arc<Inner>,
-        order: Vec<usize>,
-        depth: usize,
-        engine: Option<Arc<dyn SpillIo>>,
-        decode_workers: usize,
-    ) -> Self {
+    /// Start `depth` workers (at most [`MAX_PREFETCH_WORKERS`]), seeded
+    /// with the first `depth` orbit indices so the very first epoch
+    /// already overlaps IO with compute.
+    fn start(inner: Arc<Inner>, order: Vec<usize>, depth: usize) -> Self {
         let shared = Arc::new(PrefetchShared {
             state: Mutex::new(PrefetchState {
-                in_flight_shard: vec![0; inner.io.devices.len()],
+                queue: order.iter().take(depth).copied().collect(),
                 ..PrefetchState::default()
             }),
             work: Condvar::new(),
             done: Condvar::new(),
         });
-        // Seed the pipeline with the first spilled indices so the very
-        // first epoch already overlaps IO with compute.
-        {
-            let mut st = lock(&shared.state);
-            match &engine {
-                Some(engine) => {
-                    submit_lookahead(&inner, engine.as_ref(), &mut st, &order, None, depth)
-                }
-                None => st.queue.extend(order.iter().take(depth).copied()),
-            }
-        }
-        let threads = decode_workers.clamp(1, MAX_PREFETCH_WORKERS);
-        let workers = (0..threads)
-            .map(|w| {
+        let workers = (0..depth.clamp(1, MAX_PREFETCH_WORKERS))
+            .map(|_| {
                 let inner = Arc::clone(&inner);
                 let shared = Arc::clone(&shared);
-                let engine = engine.clone();
-                std::thread::spawn(move || match engine {
-                    // Worker `w` drains completion lane `w`: with striped
-                    // lanes ([`SchedulerConfig`] pinning) a shard's
-                    // batches always decode on the same worker.
-                    Some(e) => Self::async_worker_loop(&shared, e.as_ref(), depth, w),
-                    None => Self::sync_worker_loop(&inner, &shared, depth),
-                })
+                std::thread::spawn(move || Self::worker_loop(&inner, &shared, depth))
             })
             .collect();
         Self {
             shared,
-            engine,
             depth,
             order,
             workers,
@@ -871,10 +760,10 @@ impl Prefetcher {
 
     /// Schedule the next orbit indices after `idx` (cyclically, so the
     /// pipeline stays warm across epoch boundaries) that are not already
-    /// queued, in flight, or decoded — sync mode only. The queue is
-    /// capped at `depth`: visits consume one slot each, so an uncapped
-    /// queue would grow until every spilled index sat in it and the
-    /// `queue.contains` membership scan became O(n) under the shared
+    /// queued, being read, or decoded. The queue is capped at `depth`:
+    /// visits consume one slot each, so an uncapped queue would grow
+    /// until every spilled index sat in it and the `queue.contains`
+    /// membership scan became O(n) under the shared
     /// lock. The cap keeps that scan O(depth).
     fn schedule_lookahead(&self, st: &mut PrefetchState, idx: usize) {
         let order = &self.order;
@@ -890,7 +779,7 @@ impl Prefetcher {
         }
     }
 
-    fn sync_worker_loop(inner: &Inner, shared: &PrefetchShared, depth: usize) {
+    fn worker_loop(inner: &Inner, shared: &PrefetchShared, depth: usize) {
         // The reusable slot: IO staging lives in the worker's scratch and
         // persists across prefetches, so steady-state prefetching
         // allocates only the decoded batch itself.
@@ -932,50 +821,6 @@ impl Prefetcher {
             shared.done.notify_all();
         }
     }
-
-    /// Async mode: harvest engine completions and decode them. Reads are
-    /// already in flight (submitted by the visitors' lookahead), so this
-    /// thread's decode time overlaps the engine's IO time — the
-    /// submit/complete split the synchronous loop can't express.
-    fn async_worker_loop(shared: &PrefetchShared, engine: &dyn SpillIo, depth: usize, lane: usize) {
-        while let Some(c) = engine.complete_on(lane) {
-            let idx = {
-                let mut st = lock(&shared.state);
-                match st.tickets.remove(&c.ticket) {
-                    Some(i) => i,
-                    // Ticket from a dropped epoch of the pipeline (cannot
-                    // happen today — one engine per prefetcher — but a
-                    // stray completion must not corrupt state).
-                    None => continue,
-                }
-            };
-            // Decode outside the lock; contain parse panics like the sync
-            // loop does.
-            let batch = match &c.result {
-                Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Scheme::from_bytes(&c.buf)
-                }))
-                .ok()
-                .and_then(|r| r.ok()),
-                Err(_) => None,
-            };
-            let mut st = lock(&shared.state);
-            if let Some(n) = st.in_flight_shard.get_mut(c.shard) {
-                *n = n.saturating_sub(1);
-            }
-            st.pending.remove(&idx);
-            if let Some(b) = batch {
-                st.ready.insert(idx, b);
-            }
-            // Recycle the read buffer, bounded so a burst can't hoard
-            // memory forever.
-            if st.buf_pool.len() < 2 * depth + MAX_IO_THREADS {
-                st.buf_pool.push(c.buf);
-            }
-            drop(st);
-            shared.done.notify_all();
-        }
-    }
 }
 
 impl Drop for Prefetcher {
@@ -983,16 +828,9 @@ impl Drop for Prefetcher {
         lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
         self.shared.done.notify_all();
-        if let Some(e) = &self.engine {
-            // Wakes async workers blocked in complete(); queued
-            // submissions are dropped.
-            e.shutdown();
-        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // The engine itself (and its IO threads) drops with `self.engine`
-        // after every worker has exited.
     }
 }
 
@@ -1001,9 +839,8 @@ impl Drop for Prefetcher {
 /// run. Spilled batches are laid out across N shard files
 /// ([`ShardPlacement`]; `with_shards(1)` is the single-spill-file store),
 /// the read path is lock-free positional IO, and an optional prefetch
-/// pipeline keeps upcoming batches decoded in the background —
-/// synchronously per worker, or overlapped through an async [`SpillIo`]
-/// engine. Implements [`BatchProvider`].
+/// pipeline keeps upcoming batches decoded in the background. Implements
+/// [`BatchProvider`].
 ///
 /// Byte accounting is split by origin, and the two halves never overlap:
 /// [`memory_bytes`](Self::memory_bytes), [`spilled_bytes`](Self::spilled_bytes)
@@ -1019,18 +856,11 @@ pub struct ShardedSpillStore {
     prefetcher: Option<Prefetcher>,
     owns_dir: Option<PathBuf>,
     placement: ShardPlacement,
-    scheduler: SchedulerConfig,
-    /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
-    io_threads: usize,
-    decode_workers: usize,
-    /// Fault plan applied to the streaming-ingest *append* path (write
-    /// faults); the read-side engine keeps its own clone.
-    ingest_fault: Option<crate::testing::FaultPlan>,
 }
 
 /// Pack placement: aim for this many contiguous runs per shard, so every
 /// shard still sees multiple visit-order runs (device parallelism) while
-/// each run keeps consecutive batches file-adjacent (coalescing).
+/// each run keeps consecutive batches file-adjacent.
 const PACK_RUNS_PER_SHARD: usize = 4;
 
 /// Build-time staging shared by [`ShardedSpillStore::build`] and
@@ -1081,7 +911,7 @@ impl Staging {
                     }
                     None => {
                         let (bytes, shard) = spill.next().expect("one spill entry per batch");
-                        inner.append_disk(&mut append, shard, &bytes, labels, None)?;
+                        inner.append_disk(&mut append, shard, &bytes, labels, false)?;
                     }
                 }
             }
@@ -1092,7 +922,7 @@ impl Staging {
         let base = inner.sealed.load(Ordering::Relaxed);
         inner.base = base;
         inner.consumed = Mutex::new(base);
-        ShardedSpillStore::start(inner, config, owns_dir)
+        Ok(ShardedSpillStore::start(inner, config, owns_dir))
     }
 }
 
@@ -1167,97 +997,33 @@ impl ShardedSpillStore {
     /// becomes visible atomically once sealed. The prefetch pipeline does
     /// not cover appended segments — their reads take the same charged
     /// synchronous path plain visits use — and a fault plan contributes
-    /// its `device_profiles` to the shard devices and its write faults to
-    /// the append path.
+    /// its `device_profiles` to the shard devices, its read faults to
+    /// every spill read and its write faults to the append path.
     pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
         let n_shards = config.resolved_shards().max(1);
         let (files, owns_dir) = create_shards(config, n_shards)?;
         let inner = Inner::new(features, config, files, vec![0; n_shards]);
-        Self::start(inner, config, owns_dir)
+        Ok(Self::start(inner, config, owns_dir))
     }
 
-    /// The one open path's tail, shared by every constructor: resolve the
-    /// scheduler, derive the prefetch orbit from the build-time segments
-    /// and start the pipeline over it.
-    fn start(
-        inner: Inner,
-        config: &StoreConfig,
-        owns_dir: Option<PathBuf>,
-    ) -> std::io::Result<Self> {
-        let n_shards = inner.shard_paths.len();
-        // Resolve the scheduler even when no engine starts, so the report
-        // and the CLI stats line always name real numbers — and so an
-        // invalid pin map is rejected no matter which engine runs.
-        let sched = &config.scheduler;
-        let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards.max(1), config.prefetch);
-        // A fault plan replaces the configured engine with FaultyIo, whose
-        // worker count comes from the plan — report what actually runs.
-        let engine_io_threads = match &config.fault {
-            Some(plan) => plan.resolved_workers(),
-            None => io_threads,
-        };
-        if n_shards > 0 {
-            sched
-                .ring_assignment(n_shards, io_threads)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        }
+    /// The one open path's tail, shared by every constructor: derive the
+    /// prefetch orbit from the build-time segments and start the pipeline
+    /// over it.
+    fn start(inner: Inner, config: &StoreConfig, owns_dir: Option<PathBuf>) -> Self {
         let order: Vec<usize> = rlock(&inner.segments)[..inner.base]
             .iter()
             .enumerate()
             .filter_map(|(i, seg)| seg.disk_loc().is_some().then_some(i))
             .collect();
         let inner = Arc::new(inner);
-        let prefetcher = if config.prefetch > 0 && !order.is_empty() {
-            let io = &inner.io;
-            let lanes = sched.completion_lanes(decode_workers, n_shards);
-            let engine: Option<Arc<dyn SpillIo>> = if let Some(plan) = &config.fault {
-                Some(Arc::new(crate::testing::FaultyIo::start(
-                    Arc::clone(io),
-                    plan.clone(),
-                )))
-            } else {
-                match config.io {
-                    IoEngineKind::Sync => None,
-                    IoEngineKind::Pool => {
-                        Some(Arc::new(PoolIo::start(Arc::clone(io), io_threads, lanes)))
-                    }
-                    IoEngineKind::Ring => {
-                        let assign = sched
-                            .ring_assignment(n_shards, io_threads)
-                            .expect("pin map validated above");
-                        Some(Arc::new(RingIo::start(
-                            Arc::clone(io),
-                            io_threads,
-                            assign,
-                            lanes,
-                        )))
-                    }
-                }
-            };
-            Some(Prefetcher::start(
-                Arc::clone(&inner),
-                order,
-                config.prefetch,
-                engine,
-                decode_workers,
-            ))
-        } else {
-            None
-        };
-        // Report IO threads only when an async engine actually runs them;
-        // the sync pipeline's reads happen inside the decode workers.
-        let engine_running = prefetcher.as_ref().is_some_and(|p| p.engine.is_some());
-        Ok(Self {
+        let prefetcher = (config.prefetch > 0 && !order.is_empty())
+            .then(|| Prefetcher::start(Arc::clone(&inner), order, config.prefetch));
+        Self {
             inner,
             prefetcher,
             owns_dir,
             placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: if engine_running { engine_io_threads } else { 0 },
-            decode_workers,
-            ingest_fault: config.fault.clone(),
-        })
+        }
     }
 
     /// Append one sealed (already encoded) segment and its labels to the
@@ -1305,13 +1071,7 @@ impl ShardedSpillStore {
         }
         let mut append = lock(&inner.append);
         let shard = (inner.sealed.load(Ordering::Relaxed) - inner.base) % n_shards;
-        let idx = inner.append_disk(
-            &mut append,
-            shard,
-            bytes,
-            labels,
-            self.ingest_fault.as_ref(),
-        )?;
+        let idx = inner.append_disk(&mut append, shard, bytes, labels, true)?;
         append.bytes += bytes.len() as u64;
         let pending = (idx + 1).saturating_sub(*lock(&inner.consumed));
         inner.peak_pending.fetch_max(pending, Ordering::Relaxed);
@@ -1466,7 +1226,7 @@ impl ShardedSpillStore {
             inner.publish(Segment::new(Body::Disk(RwLock::new(loc)), e.labels.clone()));
         }
         lock(&inner.append).bytes = ckpt.encoded_bytes();
-        Self::start(inner, config, None)
+        Ok(Self::start(inner, config, None))
     }
 
     /// `[resident, spilled]` build-time segments as `(count, bytes)`.
@@ -1602,39 +1362,25 @@ impl ShardedSpillStore {
         stats.spill_requests.fetch_add(1, Ordering::Relaxed);
         let mut st = lock(&pf.shared.state);
         // Schedule the lookahead window first so the pipeline overlaps
-        // the next batches with whatever this visit does. In async mode
-        // scheduling *is* submission — the reads are in flight before we
-        // even check our own slot.
-        match &pf.engine {
-            Some(engine) => submit_lookahead(
-                &self.inner,
-                engine.as_ref(),
-                &mut st,
-                &pf.order,
-                Some(idx),
-                pf.depth,
-            ),
-            None => {
-                pf.schedule_lookahead(&mut st, idx);
-                pf.shared.work.notify_all();
-            }
-        }
+        // the next batches with whatever this visit does.
+        pf.schedule_lookahead(&mut st, idx);
+        pf.shared.work.notify_all();
         loop {
             if let Some(b) = st.ready.remove(&idx) {
                 drop(st);
                 stats.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                // A decoded slot was released: let backpressured sync
-                // workers run (async submission re-fills on later visits).
+                // A decoded slot was released: let backpressured workers
+                // run.
                 pf.shared.work.notify_all();
                 return b;
             }
             if st.pending.contains(&idx) {
-                // In flight: the IO overlaps our wait, still a hit.
+                // A worker is reading it: its IO overlaps our wait, still
+                // a hit.
                 st = wait(&pf.shared.done, st);
                 continue;
             }
-            // Not scheduled (or still queued in sync mode): claim it and
-            // read inline.
+            // Not scheduled (or still queued): claim it and read inline.
             if let Some(pos) = st.queue.iter().position(|&q| q == idx) {
                 st.queue.remove(pos);
             }
@@ -1644,16 +1390,14 @@ impl ShardedSpillStore {
         }
     }
 
-    /// Current placement state: policy, resolved scheduling, rebalance and
+    /// Current placement state: policy, prefetch workers, rebalance and
     /// migration counters, per-shard EWMA bandwidth estimates and the
     /// bytes currently assigned to each shard.
     pub fn placement_report(&self) -> PlacementReport {
         let ps = &self.inner.placement_stats;
         PlacementReport {
             policy: self.placement,
-            pinning: self.scheduler.pinning.clone(),
-            io_threads: self.io_threads,
-            decode_workers: self.decode_workers,
+            decode_workers: self.prefetcher.as_ref().map_or(0, |p| p.workers.len()),
             rebalances: ps.rebalances.load(Ordering::Relaxed),
             migrated_batches: ps.migrated_batches.load(Ordering::Relaxed),
             migrated_bytes: ps.migrated_bytes.load(Ordering::Relaxed),
@@ -1762,16 +1506,13 @@ impl ShardedSpillStore {
 /// batches every epoch for nothing.
 pub const REBALANCE_HYSTERESIS: f64 = 1.25;
 
-/// Snapshot of the placement/scheduling state
+/// Snapshot of the placement state
 /// ([`ShardedSpillStore::placement_report`]; the CLI prints it as the
 /// machine-parseable `placement:` line).
 #[derive(Clone, Debug)]
 pub struct PlacementReport {
     pub policy: ShardPlacement,
-    pub pinning: Pinning,
-    /// Async-engine IO threads actually running (0 when the pipeline is
-    /// sync or prefetch is off).
-    pub io_threads: usize,
+    /// Prefetch workers reading and decoding (0 when prefetch is off).
     pub decode_workers: usize,
     /// Adaptive rebalance passes that had profiler signal to plan with.
     pub rebalances: u64,
@@ -1787,7 +1528,7 @@ pub struct PlacementReport {
 
 /// Decide which shard each spilled batch (in visit order) lands on at
 /// build time. `Adaptive` starts from the `Pack` layout (file-adjacent
-/// runs, so ring coalescing works from epoch one) and diverges only once
+/// runs from epoch one) and diverges only once
 /// the runtime profiler has measured the shards
 /// ([`ShardedSpillStore::rebalance`]).
 pub fn place_spilled(sizes: &[usize], n_shards: usize, placement: ShardPlacement) -> Vec<usize> {
@@ -1925,14 +1666,14 @@ impl Drop for ShardedSpillStore {
     fn drop(&mut self) {
         // Stop the workers before unlinking their files.
         self.prefetcher = None;
-        // With the prefetcher (and its engine) gone, ours is the only
+        // With the prefetcher gone, ours is the only
         // strong ref to Inner and its IoShards left, so the shard files
         // can be closed before the unlink — the portable (non-unix) path
         // cannot delete a file that is still open. Best-effort: if the
         // ref count is unexpectedly higher we skip closing (unix unlinks
         // open files fine).
         if let Some(inner) = Arc::get_mut(&mut self.inner) {
-            inner.io = Arc::new(IoShards::new(Vec::new(), None));
+            inner.io = Arc::new(IoShards::new(Vec::new(), None, None));
         }
         for path in &self.inner.shard_paths {
             let _ = fs::remove_file(path);
@@ -2135,7 +1876,7 @@ mod tests {
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
         assert_eq!(store.spilled_batches(), 6);
         // Within a run, consecutive visit-order batches are back to back
-        // in the same shard file — the layout the ring engine coalesces.
+        // in the same shard file.
         let locs: Vec<DiskLoc> = (0..6)
             .map(|i| store.inner.segment(i).disk_loc().unwrap())
             .collect();
@@ -2237,47 +1978,6 @@ mod tests {
     }
 
     #[test]
-    fn async_engines_serve_byte_exact_batches() {
-        let (x, y) = dataset();
-        for (io, placement) in [
-            (IoEngineKind::Pool, ShardPlacement::Stripe),
-            (IoEngineKind::Ring, ShardPlacement::Stripe),
-            (IoEngineKind::Ring, ShardPlacement::Pack),
-        ] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_prefetch(3)
-                .with_io(io)
-                .with_placement(placement);
-            let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-            assert!(store.prefetch_enabled());
-            for _epoch in 0..2 {
-                for i in 0..store.num_batches() {
-                    store.visit(i, &mut |b, labels| {
-                        assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-                        assert_eq!(labels, &y[i * 100..(i + 1) * 100]);
-                    });
-                }
-            }
-            let s = store.stats().snapshot_stable();
-            s.assert_consistent();
-            assert_eq!(s.spill_requests, 12, "{io:?} {s:?}");
-            assert!(s.submitted >= 1, "async engine never used: {s:?}");
-            // Every visit consumed one engine or sync read; coalesced
-            // riders count toward coverage.
-            assert!(
-                s.disk_reads + s.coalesced_reads >= s.spill_requests,
-                "{io:?} {s:?}"
-            );
-            // Note: no lower bound on `coalesced_reads` — whether adjacent
-            // submissions land in one ring burst is scheduling-dependent
-            // (a ring thread that wakes per submission drains bursts of
-            // one). The merge logic itself is covered deterministically
-            // by `io::tests::plan_runs_merges_adjacent_ranges_deterministically`.
-        }
-    }
-
-    #[test]
     fn bandwidth_throttle_accounts_per_shard() {
         let (x, y) = dataset();
         let mbps = 400.0;
@@ -2313,34 +2013,27 @@ mod tests {
     #[test]
     fn truncated_shard_fails_loudly_instead_of_hanging() {
         let (x, y) = dataset();
-        for io in [IoEngineKind::Sync, IoEngineKind::Pool, IoEngineKind::Ring] {
-            let config = StoreConfig::new(Scheme::Den, 100, 0)
-                .with_shards(2)
-                .with_prefetch(2)
-                .with_io(io);
-            let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-            // Truncate every shard behind the store's back. The prefetch
-            // seed window only covers the first batches, so batch 4 is
-            // guaranteed to be read after the truncation — by the
-            // pipeline (whose failure must be contained and must not
-            // strand the index in `pending`) or by the visitor's
-            // synchronous path. Either way the visit must surface the IO
-            // failure instead of waiting forever.
-            for path in &store.inner.shard_paths {
-                OpenOptions::new()
-                    .write(true)
-                    .truncate(true)
-                    .open(path)
-                    .unwrap();
-            }
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                store.visit(4, &mut |_, _| {});
-            }));
-            assert!(
-                result.is_err(),
-                "visit over a truncated shard must fail ({io:?})"
-            );
+        let config = StoreConfig::new(Scheme::Den, 100, 0)
+            .with_shards(2)
+            .with_prefetch(2);
+        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        // Truncate every shard behind the store's back. The prefetch seed
+        // window only covers the first batches, so batch 4 is guaranteed
+        // to be read after the truncation — by the pipeline (whose failure
+        // must be contained and must not strand the index in `pending`)
+        // or by the visitor's synchronous path. Either way the visit must
+        // surface the IO failure instead of waiting forever.
+        for path in &store.inner.shard_paths {
+            OpenOptions::new()
+                .write(true)
+                .truncate(true)
+                .open(path)
+                .unwrap();
         }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.visit(4, &mut |_, _| {});
+        }));
+        assert!(result.is_err(), "visit over a truncated shard must fail");
     }
 
     #[test]
@@ -2494,48 +2187,5 @@ mod tests {
             assert_eq!(rep.rebalances, 0, "{placement}");
             assert_eq!(rep.migrated_batches, 0, "{placement}");
         }
-    }
-
-    #[test]
-    fn invalid_pin_maps_fail_store_build() {
-        let (x, y) = dataset();
-        // Wrong length (2 shards, 1 entry) and out-of-range thread index.
-        for pinning in [Pinning::Fixed(vec![0]), Pinning::Fixed(vec![0, 7])] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_prefetch(2)
-                .with_io(IoEngineKind::Ring)
-                .with_scheduler(SchedulerConfig {
-                    io_threads: 2,
-                    decode_workers: 2,
-                    pinning: pinning.clone(),
-                });
-            let err = match ShardedSpillStore::build(&x, &y, &config) {
-                Err(e) => e,
-                Ok(_) => panic!("pin map {pinning:?} must fail the build"),
-            };
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{pinning:?}");
-        }
-        // A valid map builds and serves batches through the pinned ring.
-        let config = StoreConfig::new(Scheme::Toc, 100, 0)
-            .with_shards(2)
-            .with_prefetch(2)
-            .with_io(IoEngineKind::Ring)
-            .with_scheduler(SchedulerConfig {
-                io_threads: 2,
-                decode_workers: 2,
-                pinning: Pinning::Fixed(vec![1, 0]),
-            });
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, _| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-            });
-        }
-        let rep = store.placement_report();
-        assert_eq!(rep.pinning, Pinning::Fixed(vec![1, 0]));
-        assert_eq!(rep.io_threads, 2);
-        assert_eq!(rep.decode_workers, 2);
-        store.stats().snapshot_stable().assert_consistent();
     }
 }

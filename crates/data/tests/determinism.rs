@@ -1,17 +1,15 @@
 //! End-to-end determinism: the same seed must produce a **bit-identical**
 //! training run regardless of where the batches physically live or which
-//! IO path serves them. Eight store configurations — in-memory, single
-//! spill file, sharded, sharded+sync-prefetch, async pool, async ring,
-//! adaptive placement over asymmetric shards, and adaptive+ring with a
-//! fixed pin map — feed the identical batch stream, so the final weights
+//! IO path serves them. Six store configurations — in-memory, single
+//! spill file, sharded, sharded+prefetch, and two adaptive-placement legs
+//! with prefetch over asymmetric shards (one stable, one with a degrading
+//! device) — feed the identical batch stream, so the final weights
 //! *and* the per-epoch error trajectory must agree with `==`, not a
 //! tolerance. The adaptive legs migrate batches between shards mid-run
 //! (the trainer fires `end_epoch` after every pass), which must never
 //! change a byte of what the trainer sees.
 
-use toc_data::store::{
-    IoEngineKind, Pinning, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_data::DeviceProfile;
 use toc_formats::Scheme;
@@ -78,8 +76,8 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
         runs.push(train("single-file", &store, eval));
     }
 
-    // (3)–(8) Sharded variants.
-    let sharded_configs: [(&'static str, StoreConfig); 6] = [
+    // (3)–(6) Sharded variants.
+    let sharded_configs: [(&'static str, StoreConfig); 4] = [
         (
             "sharded",
             StoreConfig::new(scheme, batch_rows, 0).with_shards(3),
@@ -90,55 +88,28 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shards(3)
                 .with_prefetch(3),
         ),
-        (
-            "async-pool",
-            StoreConfig::new(scheme, batch_rows, 0)
-                .with_shards(3)
-                .with_prefetch(3)
-                .with_io(IoEngineKind::Pool),
-        ),
-        (
-            "async-ring",
-            StoreConfig::new(scheme, batch_rows, 0)
-                .with_shards(3)
-                .with_prefetch(3)
-                .with_io(IoEngineKind::Ring)
-                .with_placement(ShardPlacement::Pack),
-        ),
         // Adaptive placement over asymmetric shards: the 10× bandwidth
         // skew forces real migrations at every epoch boundary while the
         // trainer is mid-run.
         (
-            "adaptive-pool",
+            "adaptive+prefetch",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_io(IoEngineKind::Pool)
                 .with_placement(ShardPlacement::Adaptive)
-                .with_shard_mbps(vec![900.0, 90.0, 90.0])
-                .with_scheduler(SchedulerConfig {
-                    io_threads: 2,
-                    decode_workers: 2,
-                    pinning: Pinning::Auto,
-                }),
+                .with_shard_mbps(vec![900.0, 90.0, 90.0]),
         ),
         (
-            "adaptive-ring-pinned",
+            "adaptive+prefetch-degrading",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_io(IoEngineKind::Ring)
                 .with_placement(ShardPlacement::Adaptive)
                 .with_shard_profiles(vec![
                     DeviceProfile::stable(900.0),
                     DeviceProfile::degrading(400.0, 0.1),
                     DeviceProfile::stable(90.0),
-                ])
-                .with_scheduler(SchedulerConfig {
-                    io_threads: 2,
-                    decode_workers: 3,
-                    pinning: Pinning::Fixed(vec![0, 1, 0]),
-                }),
+                ]),
         ),
     ];
     for (name, config) in sharded_configs {
@@ -171,14 +142,14 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 }
 
 /// Multi-tenant determinism: 8 jobs with distinct seeds train
-/// concurrently over ONE shared adaptive store — ring engine replaced by
-/// the fault-injecting double, asymmetric degrading devices, adaptive
-/// migrations firing at every epoch boundary of every job, and a shared
-/// compressed-batch cache small enough to churn. Every job's final
-/// weights AND loss curve must be `==` to its solo run on a fresh store
-/// of the same configuration: concurrency, cache hits, eviction timing,
-/// QoS throttling and injected faults may change *when* bytes are read,
-/// never *which* bytes the trainer sees.
+/// concurrently over ONE shared adaptive store — read faults on every
+/// spill read (tenant cache misses included), asymmetric degrading
+/// devices, adaptive migrations firing at every epoch boundary of every
+/// job, and a shared compressed-batch cache small enough to churn. Every
+/// job's final weights AND loss curve must be `==` to its solo run on a
+/// fresh store of the same configuration: concurrency, cache hits,
+/// eviction timing, QoS throttling and injected faults may change *when*
+/// bytes are read, never *which* bytes the trainer sees.
 #[test]
 fn concurrent_tenants_train_bit_identical_to_solo() {
     use std::sync::Arc;
@@ -189,18 +160,17 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
     let scheme = Scheme::Toc;
     let batch_rows = 60;
     let eval_batch = Scheme::Den.encode(&ds.x);
-    let config = || {
+    let config = |plan: FaultPlan| {
         StoreConfig::new(scheme, batch_rows, 0)
             .with_shards(3)
             .with_prefetch(3)
-            .with_io(IoEngineKind::Ring)
             .with_placement(ShardPlacement::Adaptive)
             .with_shard_profiles(vec![
                 DeviceProfile::stable(900.0),
                 DeviceProfile::degrading(400.0, 0.1),
                 DeviceProfile::stable(90.0),
             ])
-            .with_fault_plan(FaultPlan::seeded(0xBEEF))
+            .with_fault_plan(plan)
     };
     let job = |i: usize| {
         JobSpec::new(
@@ -218,7 +188,11 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
         .with_eval(eval_batch.clone(), ds.labels.clone())
     };
 
-    let store = Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config()).unwrap());
+    // Keep a clone of the shared store's plan: its counters show whether
+    // the faults reached the tenants' reads.
+    let plan = FaultPlan::seeded(0xBEEF);
+    let faults = plan.stats.clone();
+    let store = Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config(plan)).unwrap());
     assert_eq!(store.spilled_batches(), 8);
     let server = JobServer::new(
         Arc::clone(&store),
@@ -230,15 +204,26 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
         },
     );
     let outcomes = server.run((0..8).map(job).collect());
-    store.stats().snapshot_stable().assert_consistent();
+    let s = store.stats().snapshot_stable();
+    s.assert_consistent();
     assert_eq!(server.peak_concurrency(), 8);
+    // The faults fired, and on the tenants' own reads: every cache miss
+    // is one chunked faulty read, on top of the prefetch workers' reads.
+    use std::sync::atomic::Ordering;
+    let chunked = faults.chunked_requests.load(Ordering::Relaxed);
+    assert!(s.cache_misses >= 1, "{s:?}");
+    assert!(chunked >= s.cache_misses, "{chunked} chunked reads, {s:?}");
+    assert!(faults.eintr_retries.load(Ordering::Relaxed) >= 1);
+    assert!(faults.delayed_us.load(Ordering::Relaxed) >= 1);
 
     // Solo references: each job alone on a fresh store of the same
     // configuration, driven by the plain Trainer through the prefetch
-    // pipeline + fault-injecting engine (a different read path entirely).
+    // pipeline (a different reader of the same faulty read path).
     for (i, outcome) in outcomes.iter().enumerate() {
         let spec = job(i);
-        let solo_store = ShardedSpillStore::build(&ds.x, &ds.labels, &config()).unwrap();
+        let solo_store =
+            ShardedSpillStore::build(&ds.x, &ds.labels, &config(FaultPlan::seeded(0xBEEF)))
+                .unwrap();
         let trainer = Trainer::new(spec.config.clone());
         let report = trainer.train(
             &spec.model,

@@ -1,12 +1,12 @@
-//! Fault-injection suite for the async spill-IO pipeline.
+//! Fault-injection suite for the spill read and append paths.
 //!
-//! The `FaultyIo` double serves every prefetch read through injectable
-//! latency, chunked short reads, `EINTR`-style retry spins, and
-//! out-of-order completion release. The property under test: **no
-//! interleaving the double can produce may change a single byte** of what
-//! the prefetcher hands the trainer — the spilled visit stream must be
-//! bit-identical to the encoded source, and a `Trainer` run over the
-//! faulty store must land on bit-identical weights to an in-memory run.
+//! A `FaultPlan` serves every spill read — prefetch workers and visitor
+//! misses alike — through injectable latency, chunked short reads and
+//! `EINTR`-style retry spins. The property under test: **no schedule the
+//! plan can produce may change a single byte** of what the store hands
+//! the trainer — the spilled visit stream must be bit-identical to the
+//! encoded source, and a `Trainer` run over the faulty store must land on
+//! bit-identical weights to an in-memory run.
 
 use proptest::prelude::*;
 use toc_data::store::{ShardedSpillStore, StoreConfig};
@@ -32,7 +32,6 @@ proptest! {
         max_latency_us in 0u64..300,
         chunked in proptest::prelude::any::<bool>(),
         eintr_per_mille in 0u32..400,
-        reorder_window in 0usize..4,
     ) {
         let scheme = [Scheme::Toc, Scheme::Gzip, Scheme::Cla][scheme_idx];
         let ds = generate_preset(DatasetPreset::CensusLike, rows, 31);
@@ -49,7 +48,6 @@ proptest! {
             max_latency_us,
             chunked_reads: chunked,
             eintr_per_mille,
-            reorder_window,
             ..FaultPlan::default()
         };
         let config = StoreConfig::new(scheme, batch_rows, 0)
@@ -92,9 +90,9 @@ proptest! {
         s.assert_consistent();
         prop_assert_eq!(s.spill_requests, visits);
         prop_assert_eq!(s.prefetch_hits + s.prefetch_misses, visits);
-        prop_assert!(s.disk_reads + s.coalesced_reads >= visits, "{:?}", s);
-        // The engine was actually exercised (every store here spills).
-        prop_assert!(s.submitted >= 1);
+        prop_assert!(s.disk_reads >= visits, "{:?}", s);
+        // Every read a visit consumed landed in the latency histogram.
+        prop_assert!(s.latency_us.iter().sum::<u64>() >= visits, "{:?}", s);
     }
 }
 
@@ -127,7 +125,6 @@ fn trainer_is_bit_identical_under_heavy_faults() {
         max_latency_us: 400,
         chunked_reads: true,
         eintr_per_mille: 500,
-        reorder_window: 3,
         ..FaultPlan::default()
     };
     let fault_stats = plan.stats.clone();

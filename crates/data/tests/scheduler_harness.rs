@@ -1,12 +1,12 @@
 //! Deterministic scheduler test harness for the adaptive placement
-//! planner and the affinity-aware IO/decode scheduling.
+//! planner.
 //!
 //! The store is given shards with *asymmetric* simulated bandwidth —
 //! fast, slow, and degrading device profiles, applied either directly
-//! ([`StoreConfig::with_shard_profiles`]) or through the fault-injecting
-//! engine double ([`FaultPlan::device_profiles`], which adds seeded
-//! latency, chunked short reads, EINTR retries and out-of-order
-//! completion release on top). The properties under test:
+//! ([`StoreConfig::with_shard_profiles`]) or through a fault plan
+//! ([`FaultPlan::device_profiles`], which adds seeded latency, chunked
+//! short reads and EINTR retries to every spill read on top). The
+//! properties under test:
 //!
 //! * the runtime bandwidth profiler separates fast from slow shards,
 //! * the adaptive planner migrates ≥ 80% of the hot batches onto the
@@ -16,9 +16,7 @@
 //! * and no migration ever changes a single byte of any batch.
 
 use std::sync::atomic::Ordering;
-use toc_data::store::{
-    IoEngineKind, Pinning, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_data::testing::FaultPlan;
 use toc_data::DeviceProfile;
@@ -119,9 +117,9 @@ fn adaptive_migrates_hot_batches_to_fast_shards_within_two_epochs() {
 #[test]
 fn adaptive_migration_survives_the_fault_gauntlet() {
     let (x, y) = dataset();
-    // Same asymmetry, but the profiles ride the FaultyIo double: seeded
-    // latency, chunked short reads, EINTR retry spins and out-of-order
-    // completion release all stand between the profiler and the truth.
+    // Same asymmetry, but the profiles ride a fault plan: seeded
+    // latency, chunked short reads and EINTR retry spins on every spill
+    // read stand between the profiler and the truth.
     // Chunking splits every request into 2–4 partial reads, so the
     // per-observation payload shrinks and real syscall overhead eats into
     // the signal — Den batches (4.2 KB) over a 10 MB/s slow tier keep
@@ -132,7 +130,6 @@ fn adaptive_migration_survives_the_fault_gauntlet() {
         max_latency_us: 150,
         chunked_reads: true,
         eintr_per_mille: 300,
-        reorder_window: 3,
         device_profiles: vec![
             DeviceProfile::stable(FAST_MBPS),
             DeviceProfile::stable(FAST_MBPS),
@@ -162,7 +159,7 @@ fn adaptive_migration_survives_the_fault_gauntlet() {
         after * 100.0
     );
     // A full extra epoch after migration: bytes still bit-identical
-    // through the faulty pipeline, and the accounting invariant holds.
+    // through the faulty reads, and the accounting invariant holds.
     epoch(&store, &expected);
     let s = store.stats().snapshot_stable();
     s.assert_consistent();
@@ -210,33 +207,28 @@ fn degrading_shard_sheds_batches_as_its_ewma_falls() {
 }
 
 #[test]
-fn pinned_scheduler_serves_adaptive_store_bit_identically() {
+fn prefetching_adaptive_store_serves_bit_identically() {
     let (x, y) = dataset();
-    // Full stack: adaptive placement + asymmetric shards + ring engine
-    // with an explicit pin map and striped decode lanes. Everything must
-    // still be bitwise right after two epochs of migration.
+    // Full stack: adaptive placement + asymmetric shards + the prefetch
+    // workers reading ahead while batches migrate under them. Everything
+    // must still be bitwise right after two epochs of migration.
     let config = StoreConfig::new(Scheme::Toc, 25, 0)
         .with_shards(4)
         .with_prefetch(4)
-        .with_io(IoEngineKind::Ring)
         .with_placement(ShardPlacement::Adaptive)
-        .with_shard_mbps(vec![FAST_MBPS, FAST_MBPS, SLOW_MBPS, SLOW_MBPS])
-        .with_scheduler(SchedulerConfig {
-            io_threads: 2,
-            decode_workers: 3,
-            pinning: Pinning::Fixed(vec![0, 1, 0, 1]),
-        });
+        .with_shard_mbps(vec![FAST_MBPS, FAST_MBPS, SLOW_MBPS, SLOW_MBPS]);
     let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
     let expected = expected_bytes(&x, Scheme::Toc, 25);
     for _ in 0..3 {
         epoch(&store, &expected);
     }
     let rep = store.placement_report();
-    assert_eq!(rep.pinning, Pinning::Fixed(vec![0, 1, 0, 1]));
-    assert_eq!(rep.io_threads, 2);
-    assert_eq!(rep.decode_workers, 3);
+    assert_eq!(rep.decode_workers, 4);
     assert!(fraction_on(&store, &[0, 1]) >= 0.8, "{rep:?}");
     let s = store.stats().snapshot_stable();
     s.assert_consistent();
-    assert!(s.submitted >= 1, "ring engine never used: {s:?}");
+    assert!(
+        s.prefetch_hits >= 1,
+        "prefetch pipeline never served: {s:?}"
+    );
 }

@@ -4,7 +4,7 @@
 //! the `IoStats` totals must add up exactly. Run it in release too — the
 //! CI has a `cargo test --release` job precisely for these.
 
-use toc_data::store::{IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig};
+use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::BatchProvider;
@@ -26,17 +26,14 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
         })
         .collect();
 
-    for (prefetch, io, placement) in [
-        (0usize, IoEngineKind::Sync, ShardPlacement::Stripe),
-        (6, IoEngineKind::Sync, ShardPlacement::Stripe),
-        (6, IoEngineKind::Pool, ShardPlacement::Stripe),
-        (6, IoEngineKind::Ring, ShardPlacement::Stripe),
-        (6, IoEngineKind::Ring, ShardPlacement::Pack),
+    for (prefetch, placement) in [
+        (0usize, ShardPlacement::Stripe),
+        (6, ShardPlacement::Stripe),
+        (6, ShardPlacement::Pack),
     ] {
         let config = StoreConfig::new(Scheme::Toc, BATCH_ROWS, 0)
             .with_shards(4)
             .with_prefetch(prefetch)
-            .with_io(io)
             .with_placement(placement);
         let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
         assert_eq!(store.spilled_batches(), n_batches);
@@ -63,7 +60,7 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
         });
 
         let visits = (THREADS * ROUNDS * n_batches) as u64;
-        // `snapshot_stable` because async engine workers may still be
+        // `snapshot_stable` because prefetch workers may still be
         // retiring lookahead reads when the last visit returns; the
         // visitor-owned counters (requests/hits/misses) are exact either
         // way and `assert_consistent` checks they add up.
@@ -81,15 +78,18 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
             assert_eq!(s.spill_requests, 0);
         } else {
             // Pipeline: every spilled visit is accounted as exactly one
-            // hit or miss, and consumed exactly one read (or rode along a
-            // coalesced ring read); at most a lookahead window of reads
-            // stays unconsumed at shutdown.
-            assert_eq!(s.spill_requests, visits, "{io:?} {s:?}");
-            assert_eq!(s.prefetch_hits + s.prefetch_misses, visits, "{io:?} {s:?}");
-            assert!(s.disk_reads + s.coalesced_reads >= visits, "{io:?} {s:?}");
+            // hit or miss, and consumed exactly one read; at most a
+            // lookahead window of reads stays unconsumed at shutdown.
+            assert_eq!(s.spill_requests, visits, "{placement} {s:?}");
+            assert_eq!(
+                s.prefetch_hits + s.prefetch_misses,
+                visits,
+                "{placement} {s:?}"
+            );
+            assert!(s.disk_reads >= visits, "{placement} {s:?}");
             assert!(
-                s.disk_reads + s.coalesced_reads <= visits + (8 * prefetch) as u64,
-                "{io:?} {s:?}"
+                s.disk_reads <= visits + (8 * prefetch) as u64,
+                "{placement} {s:?}"
             );
         }
         assert_eq!(s.throttle_ns, 0); // no bandwidth model configured

@@ -1,5 +1,5 @@
 //! Property tests for the out-of-core path: arbitrary (scheme ×
-//! batch_rows × budget × shards × prefetch × io engine) configurations
+//! batch_rows × budget × shards × prefetch × placement) configurations
 //! round-trip through spill with decode-equality against the source
 //! matrix, for both the single-file (one-shard) and the sharded store — plus the
 //! placement-plan laws every policy (build-time stripe/pack/adaptive and
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use toc_data::store::{
-    place_spilled, plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig,
+    place_spilled, plan_adaptive, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
@@ -47,10 +47,10 @@ proptest! {
         budget_pct in 0usize..=120,
         shards in 1usize..5,
         prefetch in 0usize..4,
-        io_idx in 0usize..3,
+        pack in proptest::prelude::any::<bool>(),
     ) {
         let scheme = Scheme::PAPER_SET[scheme_idx];
-        let io = [IoEngineKind::Sync, IoEngineKind::Pool, IoEngineKind::Ring][io_idx];
+        let placement = if pack { ShardPlacement::Pack } else { ShardPlacement::Stripe };
         let ds = generate_preset(DatasetPreset::CensusLike, rows, 17);
         let n_batches = rows.div_ceil(batch_rows);
 
@@ -67,7 +67,7 @@ proptest! {
         let config = StoreConfig::new(scheme, batch_rows, budget)
             .with_shards(shards)
             .with_prefetch(prefetch)
-            .with_io(io);
+            .with_placement(placement);
         // The single-spill-file reference: one shard, no prefetch.
         let flat_config = StoreConfig::new(scheme, batch_rows, budget).with_shards(1);
         let flat = ShardedSpillStore::build(&ds.x, &ds.labels, &flat_config).unwrap();
@@ -97,9 +97,8 @@ proptest! {
                         if prefetch > 0 { spilled_visits } else { 0 });
         prop_assert_eq!(snap.prefetch_hits + snap.prefetch_misses,
                         if prefetch > 0 { spilled_visits } else { 0 });
-        // Every spilled visit consumed one physical read or rode along a
-        // coalesced one (the ring engine may merge adjacent reads).
-        prop_assert!(snap.disk_reads + snap.coalesced_reads >= spilled_visits);
+        // Every spilled visit consumed one physical read.
+        prop_assert!(snap.disk_reads >= spilled_visits);
     }
 
     /// Build-time placement plans: every batch assigned exactly once to a
