@@ -9,6 +9,7 @@
 use toc_bench::{arg, Table};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
@@ -27,6 +28,7 @@ fn main() {
     let rows: usize = arg("rows", 4000);
     let epochs: usize = arg("epochs", 6);
     let seed: u64 = arg("seed", 42);
+    let mbps: f64 = arg("mbps", 150.0);
     let eval_rows = (rows / 5).max(1);
     let full = generate_preset(DatasetPreset::MnistLike, rows + eval_rows, seed);
     let ds = split(&full, 0, rows);
@@ -67,7 +69,7 @@ fn main() {
                 &ds.labels,
                 &StoreConfig::new(scheme, 250, budget)
                     .with_shards(1)
-                    .with_disk_mbps(arg("mbps", 150.0)),
+                    .with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(mbps)])),
             )
             .expect("store");
             let trainer = Trainer::new(MgdConfig {

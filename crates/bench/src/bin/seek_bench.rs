@@ -1,7 +1,7 @@
 //! Random-access read path of the seekable `.tocz` v2 container:
 //! full-scan vs. one-segment vs. selective row-range decode, single
 //! worker vs. parallel, with the bytes actually read reported from the
-//! reader's own [`IoStats`].
+//! reader's own [`toc_data::IoStats`].
 //!
 //! Ends with the PR's two acceptance gates (both assert, so CI fails
 //! loudly on a regression):

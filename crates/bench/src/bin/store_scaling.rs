@@ -23,6 +23,7 @@
 use toc_bench::{arg, fmt_duration, mb_per_s, sweep_store, Table};
 use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::Scheme;
 
 fn main() {
@@ -44,7 +45,9 @@ fn main() {
     ]);
     for scheme in [Scheme::Den, Scheme::Csr, Scheme::Gzip, Scheme::Toc] {
         let base = StoreConfig::new(scheme, batch_rows, 0);
-        let modeled = base.clone().with_disk_mbps(mbps);
+        let modeled = base
+            .clone()
+            .with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(mbps)]));
         // (a) single-file store: one device clock for every reader.
         // (b) sharded: N independent device clocks, lock-free reads.
         // (c) sharded + prefetch: workers read and decode ahead.
@@ -68,8 +71,8 @@ fn main() {
                     0 => format!("{name}({})", store.num_shards()),
                     k => format!("{name}({})+pf{k}", store.num_shards()),
                 },
-                match cfg.disk_mbps {
-                    Some(m) => format!("{m} MB/s"),
+                match cfg.fault {
+                    Some(_) => format!("{mbps} MB/s"),
                     None => "unthrottled".into(),
                 },
                 format!("{:.1}", store.spilled_bytes() as f64 / 1e6),
@@ -103,12 +106,14 @@ fn main() {
 fn adaptive_acceptance_gate() {
     let rows = 6000;
     let batch_rows = 100;
-    let shard_mbps = vec![400.0, 25.0, 25.0, 25.0];
+    let shard_mbps = [400.0, 25.0, 25.0, 25.0];
     let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
     let base = StoreConfig::new(Scheme::Den, batch_rows, 0)
         .with_shards(4)
         .with_prefetch(8)
-        .with_shard_mbps(shard_mbps.clone());
+        .with_fault_plan(FaultPlan::device(
+            shard_mbps.map(DeviceProfile::stable).to_vec(),
+        ));
 
     // Steady-state epoch time: warm epochs first (the adaptive store
     // profiles and migrates there; end_epoch is what the trainer fires),

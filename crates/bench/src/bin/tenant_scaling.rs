@@ -28,6 +28,7 @@ use toc_bench::{append_history, arg, fmt_duration, today_utc, Table};
 use toc_data::serve::{JobServer, JobSpec, ServeConfig};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, Dataset, DatasetPreset};
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::Scheme;
 use toc_ml::mgd::{MgdConfig, ModelSpec};
 use toc_ml::LossKind;
@@ -66,7 +67,7 @@ fn run_fleet(
 ) -> (Duration, Vec<toc_data::serve::JobOutcome>, u64) {
     let config = StoreConfig::new(Scheme::Den, BATCH_ROWS, 0)
         .with_shards(shards)
-        .with_disk_mbps(mbps);
+        .with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(mbps)]));
     let store =
         Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("build store"));
     let server = JobServer::new(

@@ -11,6 +11,7 @@
 use std::time::{Duration, Instant};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::Dataset;
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
@@ -229,9 +230,10 @@ pub struct EndToEndResult {
 
 /// Build a store for `scheme` and train `workload` on it (the Tables 6–7 /
 /// Figures 9–10 inner loop). `memory_budget` mimics the machine RAM of the
-/// paper's setups and `disk_mbps` the spill-storage bandwidth (0 = raw
-/// file IO only); training time includes the disk IO of spilled batches
-/// but not the one-time encoding cost, matching §5.3.
+/// paper's setups and `disk_mbps` the simulated spill-storage bandwidth
+/// ([`FaultPlan::device`]; 0 = raw file IO only); training time includes
+/// the disk IO of spilled batches but not the one-time encoding cost,
+/// matching §5.3.
 pub fn end_to_end(
     ds: &Dataset,
     scheme: Scheme,
@@ -243,7 +245,7 @@ pub fn end_to_end(
 ) -> EndToEndResult {
     let mut config = StoreConfig::new(scheme, 250, memory_budget).with_shards(1);
     if disk_mbps > 0.0 {
-        config = config.with_disk_mbps(disk_mbps);
+        config = config.with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(disk_mbps)]));
     }
     let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
     let trainer = Trainer::new(MgdConfig {

@@ -19,6 +19,8 @@ use container::Container;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
+use toc_data::store::StoreConfig;
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::{ClaOptions, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
@@ -88,7 +90,11 @@ USAGE:
              out-of-core sharded spill store: batches beyond the budget
              spill to --shards files and are read back through --prefetch
              background workers that each read and decode one upcoming
-             batch, optionally under an --mbps bandwidth model.
+             batch. --mbps <f> sets a simulated device bandwidth of <f>
+             MB/s per shard, standing in for the paper's cloud block
+             storage: every spilled read also sleeps as that device would,
+             and the \"io:\" line reports the delay as simulated. Without
+             --mbps, spill IO is real and never sleeps.
              --placement pack lays consecutive spilled batches out
              file-adjacent, and adaptive (shorthand: --adaptive) profiles
              per-shard bandwidth at runtime and re-packs hot batches onto
@@ -125,7 +131,8 @@ USAGE:
              queued jobs wait their turn. Job i trains with seed --seed+i
              and QoS share --shares[i mod len] (default 1): a job's misses
              are throttled to share/mean-share of each shard's measured
-             EWMA bandwidth. --script <file> instead defines one job per
+             EWMA bandwidth. --mbps is the simulated device bandwidth, as
+             for train. --script <file> instead defines one job per
              line as key=value tokens (name= model= epochs= lr= seed=
              share=; '#' comments). Prints one machine-parseable
              \"job: key=value ...\" line per job and a \"serve: ...\"
@@ -149,6 +156,27 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// `--name <value>` parsed as a `T` when the option is given. A value
+/// that does not parse is an error naming the option, never a silent
+/// fallback to the default.
+fn num_opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    opt(args, name)
+        .map(|s| s.parse().map_err(|e| format!("{name}: {e}")))
+        .transpose()
+}
+
+/// [`num_opt`] for a count of rows, batches or jobs, which must be at
+/// least 1.
+fn count_opt(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match num_opt(args, name)?.unwrap_or(default) {
+        0 => Err(format!("{name} must be >= 1")),
+        n => Ok(n),
+    }
 }
 
 /// Whether the boolean flag `name` (a [`BOOL_FLAGS`] member) was passed.
@@ -187,14 +215,9 @@ fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
     if let Some(p) = opt(args, "--cla-planner") {
         cla.planner = p.parse()?;
     }
-    if let Some(s) = opt(args, "--cla-sample") {
-        cla.sample_rows = s.parse().map_err(|e| format!("--cla-sample: {e}"))?;
-        if cla.sample_rows == 0 {
-            // An empty sample estimates every column as incompressible and
-            // silently produces an uncompressed CLA plan; reject it.
-            return Err("--cla-sample must be >= 1".into());
-        }
-    }
+    // An empty sample estimates every column as incompressible and
+    // silently produces an uncompressed CLA plan, so 0 is rejected.
+    cla.sample_rows = count_opt(args, "--cla-sample", cla.sample_rows)?;
     Ok(EncodeOptions { cla })
 }
 
@@ -211,6 +234,34 @@ fn parse_placement(args: &[String]) -> Result<toc_data::ShardPlacement, String> 
         return Err("--adaptive conflicts with the explicit --placement".into());
     }
     Ok(toc_data::ShardPlacement::Adaptive)
+}
+
+/// The out-of-core store options shared by `train` (built and `--follow`)
+/// and `serve`; a command that does not accept one of them has already
+/// rejected it, so it takes its default here. `--mbps` is the one place a
+/// simulated device enters the CLI: it becomes a device-only fault plan
+/// ([`FaultPlan::device`]), and output that reports its delay labels it
+/// as simulated.
+fn store_config(
+    args: &[String],
+    scheme: Scheme,
+    batch_rows: usize,
+    budget: usize,
+    encode: EncodeOptions,
+) -> Result<StoreConfig, String> {
+    let mut config = StoreConfig::new(scheme, batch_rows, budget)
+        .with_shards(num_opt(args, "--shards")?.unwrap_or(0))
+        .with_prefetch(num_opt(args, "--prefetch")?.unwrap_or(0))
+        .with_placement(parse_placement(args)?)
+        .with_encode_options(encode)
+        .with_max_pending(num_opt(args, "--max-pending")?.unwrap_or(0));
+    if let Some(mbps) = num_opt::<f64>(args, "--mbps")? {
+        if !(mbps.is_finite() && mbps > 0.0) {
+            return Err(format!("--mbps must be > 0, got {mbps}"));
+        }
+        config = config.with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(mbps)]));
+    }
+    Ok(config)
 }
 
 fn parse_scheme(s: &str) -> Result<Scheme, String> {
@@ -245,13 +296,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         .into_iter()
         .find(|p| p.name() == preset_name)
         .ok_or_else(|| format!("unknown preset {preset_name:?}"))?;
-    let rows: usize = opt(args, "--rows")
-        .ok_or("--rows required")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let seed: u64 = opt(args, "--seed")
-        .map(|s| s.parse().unwrap_or(42))
-        .unwrap_or(42);
+    opt(args, "--rows").ok_or("--rows required")?;
+    let rows = count_opt(args, "--rows", 0)?;
+    let seed: u64 = num_opt(args, "--seed")?.unwrap_or(42);
     let out: &Path = Path::new(out.first().ok_or("output path required")?);
     let ds = generate_preset(preset, rows, seed);
     // Emit features plus the label as the last column.
@@ -288,13 +335,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
             "usage: toc ingest <in.csv> <out.tocz> [--resume] [--checkpoint-every <chunks>]".into(),
         );
     };
-    let chunk_rows: usize = opt(args, "--chunk-rows")
-        .map(|s| s.parse().map_err(|e| format!("--chunk-rows: {e}")))
-        .transpose()?
-        .unwrap_or(250);
-    if chunk_rows == 0 {
-        return Err("--chunk-rows must be >= 1".into());
-    }
+    let chunk_rows = count_opt(args, "--chunk-rows", 250)?;
     let scheme_arg = opt(args, "--scheme").unwrap_or_else(|| "auto".into());
     let scheme = if scheme_arg.eq_ignore_ascii_case("auto") {
         None // per-chunk pick over Scheme::AUTO_SET
@@ -305,10 +346,8 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     let resume = has_flag(args, "--resume");
     // --resume implies periodic checkpointing (a resumed run must stay
     // resumable); --checkpoint-every alone makes a fresh run resumable.
-    let checkpoint_every: u64 = opt(args, "--checkpoint-every")
-        .map(|s| s.parse().map_err(|e| format!("--checkpoint-every: {e}")))
-        .transpose()?
-        .unwrap_or(if resume { 8 } else { 0 });
+    let checkpoint_every: u64 =
+        num_opt(args, "--checkpoint-every")?.unwrap_or(if resume { 8 } else { 0 });
     if resume && checkpoint_every == 0 {
         return Err("--resume needs checkpointing; --checkpoint-every must be >= 1".into());
     }
@@ -395,10 +434,11 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "toc".into());
     // `--segment-rows` is the v2 name (segments are the seekable unit);
     // `--batch-rows` stays as an alias for older scripts.
-    let batch_rows: usize = opt(args, "--segment-rows")
-        .or_else(|| opt(args, "--batch-rows"))
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let rows_flag = match opt(args, "--segment-rows") {
+        Some(_) => "--segment-rows",
+        None => "--batch-rows",
+    };
+    let batch_rows = count_opt(args, rows_flag, 250)?;
     let version: u8 = match opt(args, "--container-version").as_deref() {
         None | Some("2") => 2,
         Some("1") => 1,
@@ -480,10 +520,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     let rows = opt(args, "--rows")
         .map(|s| parse_row_range(&s))
         .transpose()?;
-    let parallel: usize = match opt(args, "--parallel") {
-        Some(s) => s.parse().map_err(|e| format!("--parallel: {e}"))?,
-        None => 1,
-    };
+    let parallel: usize = num_opt(args, "--parallel")?.unwrap_or(1);
     let path = Path::new(input);
     let m = match rows {
         Some((r0, r1)) if container_version(path)? == 2 => {
@@ -618,9 +655,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let [input] = pos[..] else {
         return Err("usage: toc bench <in.csv>".into());
     };
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows = count_opt(args, "--batch-rows", 250)?;
     let opts = encode_options(args)?;
     let m = read_csv_matrix(Path::new(input))?;
     let batch = m.slice_rows(0, m.rows().min(batch_rows));
@@ -692,16 +727,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         return Err("usage: toc train <in.csv>".into());
     };
     let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows = count_opt(args, "--batch-rows", 250)?;
     let encode_opts = encode_options(args)?;
-    let epochs: usize = opt(args, "--epochs")
-        .map(|s| s.parse().unwrap_or(10))
-        .unwrap_or(10);
-    let lr: f64 = opt(args, "--lr")
-        .map(|s| s.parse().unwrap_or(0.05))
-        .unwrap_or(0.05);
+    let epochs: usize = num_opt(args, "--epochs")?.unwrap_or(10);
+    let lr: f64 = num_opt(args, "--lr")?.unwrap_or(0.05);
     let model = opt(args, "--model").unwrap_or_else(|| "lr".into());
     let loss = match model.as_str() {
         "lr" => LossKind::Logistic,
@@ -720,33 +749,12 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     });
     let spec = ModelSpec::Linear(loss);
 
-    let budget = match opt(args, "--budget") {
-        Some(b) => Some(b.parse::<usize>().map_err(|e| format!("--budget: {e}"))?),
-        None => None,
-    };
-    let shards: usize = match opt(args, "--shards") {
-        Some(s) => s.parse().map_err(|e| format!("--shards: {e}"))?,
-        None => 0,
-    };
-    let prefetch: usize = match opt(args, "--prefetch") {
-        Some(s) => s.parse().map_err(|e| format!("--prefetch: {e}"))?,
-        None => 0,
-    };
-    let mbps: Option<f64> = match opt(args, "--mbps") {
-        Some(s) => {
-            let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("--mbps must be > 0, got {v}"));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let placement = parse_placement(args)?;
+    let budget: Option<usize> = num_opt(args, "--budget")?;
+    let config = store_config(args, scheme, batch_rows, budget.unwrap_or(0), encode_opts)?;
     if budget.is_none()
-        && (shards > 0
-            || prefetch > 0
-            || mbps.is_some()
+        && (config.shards > 0
+            || config.prefetch > 0
+            || config.fault.is_some()
             || opt(args, "--placement").is_some()
             || has_flag(args, "--adaptive"))
     {
@@ -777,37 +785,11 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                 "--follow tails a growing CSV; a .tocz container is already finished".into(),
             );
         }
-        let window: usize = opt(args, "--window")
-            .map(|s| s.parse().map_err(|e| format!("--window: {e}")))
-            .transpose()?
-            .unwrap_or(8);
-        if window == 0 {
-            return Err("--window must be >= 1".into());
-        }
-        let max_pending: usize = opt(args, "--max-pending")
-            .map(|s| s.parse().map_err(|e| format!("--max-pending: {e}")))
-            .transpose()?
-            .unwrap_or(0);
-        let poll_ms: u64 = opt(args, "--poll-ms")
-            .map(|s| s.parse().map_err(|e| format!("--poll-ms: {e}")))
-            .transpose()?
-            .unwrap_or(10);
-        let idle_ms: u64 = opt(args, "--idle-ms")
-            .map(|s| s.parse().map_err(|e| format!("--idle-ms: {e}")))
-            .transpose()?
-            .unwrap_or(400);
+        let window = count_opt(args, "--window", 8)?;
+        let poll_ms: u64 = num_opt(args, "--poll-ms")?.unwrap_or(10);
+        let idle_ms: u64 = num_opt(args, "--idle-ms")?.unwrap_or(400);
         if idle_ms == 0 {
             return Err("--idle-ms must be >= 1".into());
-        }
-        use toc_data::store::StoreConfig;
-        let mut config = StoreConfig::new(scheme, batch_rows, budget.expect("validated above"))
-            .with_shards(shards)
-            .with_prefetch(prefetch)
-            .with_placement(placement)
-            .with_encode_options(encode_opts)
-            .with_max_pending(max_pending);
-        if let Some(mbps) = mbps {
-            config = config.with_disk_mbps(mbps);
         }
         return train_follow(
             Path::new(input),
@@ -840,18 +822,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         y.push(if full.get(r, d) >= 0.0 { 1.0 } else { -1.0 });
     }
 
-    let (mut report, encode_time, encoded_bytes) = if let Some(budget) = budget {
+    let (mut report, encode_time, encoded_bytes) = if budget.is_some() {
         // Out-of-core path: build the sharded spill store and train over
         // it, reporting spill layout and IO statistics.
-        use toc_data::store::{ShardedSpillStore, StoreConfig};
-        let mut config = StoreConfig::new(scheme, batch_rows, budget)
-            .with_shards(shards)
-            .with_prefetch(prefetch)
-            .with_placement(placement)
-            .with_encode_options(encode_opts);
-        if let Some(mbps) = mbps {
-            config = config.with_disk_mbps(mbps);
-        }
+        use toc_data::store::ShardedSpillStore;
         let t0 = Instant::now();
         // Container inputs stream v2 segments through the seekable reader
         // (one decoded segment in memory at a time); batch boundaries
@@ -872,18 +846,32 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         );
         let report = trainer.train(&spec, &store, None);
         let s = store.stats().snapshot_stable();
-        println!(
-            "io: {} reads ({} KB), prefetch {} hits / {} misses, simulated delay {:.1?}",
+        let mut io_line = format!(
+            "io: {} reads ({} KB), prefetch {} hits / {} misses",
             s.disk_reads,
             s.bytes_read / 1024,
             s.prefetch_hits,
             s.prefetch_misses,
-            std::time::Duration::from_nanos(s.throttle_ns),
         );
+        // Only an --mbps run sleeps, and its delay is the simulated
+        // device's, not the disk's.
+        if let Some(plan) = &config.fault {
+            io_line += &format!(
+                ", simulated device delay {:.1?} (--mbps {})",
+                std::time::Duration::from_nanos(
+                    plan.stats
+                        .throttle_ns
+                        .load(std::sync::atomic::Ordering::Relaxed)
+                ),
+                plan.device_profiles[0].mbps,
+            );
+        }
+        println!("{io_line}");
         // Machine-parseable read stats (the CLI smoke tests parse this
         // line): key=value pairs only, one per field.
         println!(
-            "io-read: placement={placement} lat-p50-us={} lat-p99-us={}",
+            "io-read: placement={} lat-p50-us={} lat-p99-us={}",
+            config.placement,
             s.latency_percentile_us(50),
             s.latency_percentile_us(99),
         );
@@ -1144,7 +1132,7 @@ fn parse_script_job(
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use toc_data::serve::{JobServer, JobSpec, ServeConfig};
-    use toc_data::store::{ShardedSpillStore, StoreConfig};
+    use toc_data::store::ShardedSpillStore;
     use toc_ml::mgd::{MgdConfig, ModelSpec};
     use toc_ml::LossKind;
 
@@ -1175,45 +1163,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("usage: toc serve <in.csv|in.tocz> [--jobs <n>] ...".into());
     };
     let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
-    let encode_opts = encode_options(args)?;
+    let batch_rows = count_opt(args, "--batch-rows", 250)?;
     // Serve is the out-of-core mode: the budget defaults to 0, so every
     // batch spills and the shared cache is what keeps hot ones close.
-    let budget: usize = match opt(args, "--budget") {
-        Some(b) => b.parse().map_err(|e| format!("--budget: {e}"))?,
-        None => 0,
-    };
-    let shards: usize = match opt(args, "--shards") {
-        Some(s) => s.parse().map_err(|e| format!("--shards: {e}"))?,
-        None => 0,
-    };
-    let mbps: Option<f64> = match opt(args, "--mbps") {
-        Some(s) => {
-            let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("--mbps must be > 0, got {v}"));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let placement = parse_placement(args)?;
-    let max_concurrent: usize = match opt(args, "--max-concurrent") {
-        Some(s) => s.parse().map_err(|e| format!("--max-concurrent: {e}"))?,
-        None => 0,
-    };
-    let epochs: usize = opt(args, "--epochs")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let lr: f64 = opt(args, "--lr")
-        .map(|s| s.parse().unwrap_or(0.05))
-        .unwrap_or(0.05);
-    let base_seed: u64 = match opt(args, "--seed") {
-        Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
-        None => 42,
-    };
+    let budget: usize = num_opt(args, "--budget")?.unwrap_or(0);
+    let config = store_config(args, scheme, batch_rows, budget, encode_options(args)?)?;
+    let max_concurrent: usize = num_opt(args, "--max-concurrent")?.unwrap_or(0);
+    let epochs: usize = num_opt(args, "--epochs")?.unwrap_or(3);
+    let lr: f64 = num_opt(args, "--lr")?.unwrap_or(0.05);
+    let base_seed: u64 = num_opt(args, "--seed")?.unwrap_or(42);
     let shares: Vec<f64> = match opt(args, "--shares") {
         Some(s) => s
             .split(',')
@@ -1259,12 +1217,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .collect::<Result<_, String>>()?
         }
         None => {
-            let jobs: usize = opt(args, "--jobs")
-                .map(|s| s.parse().unwrap_or(4))
-                .unwrap_or(4);
-            if jobs == 0 {
-                return Err("--jobs must be >= 1".into());
-            }
+            let jobs = count_opt(args, "--jobs", 4)?;
             let model = opt(args, "--model").unwrap_or_else(|| "lr".into());
             (0..jobs)
                 .map(|i| {
@@ -1298,13 +1251,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         y.push(if full.get(r, d) >= 0.0 { 1.0 } else { -1.0 });
     }
 
-    let mut config = StoreConfig::new(scheme, batch_rows, budget)
-        .with_shards(shards)
-        .with_placement(placement)
-        .with_encode_options(encode_opts);
-    if let Some(mbps) = mbps {
-        config = config.with_disk_mbps(mbps);
-    }
     let store =
         std::sync::Arc::new(ShardedSpillStore::build(&x, &y, &config).map_err(|e| format!("{e}"))?);
     println!(
@@ -1315,10 +1261,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         store.spilled_bytes() / 1024,
     );
 
-    let cache_bytes: usize = match opt(args, "--cache-budget") {
-        Some(s) => s.parse().map_err(|e| format!("--cache-budget: {e}"))?,
-        None => store.spilled_bytes() / 4,
-    };
+    let cache_bytes: usize = num_opt(args, "--cache-budget")?.unwrap_or(store.spilled_bytes() / 4);
     let server = JobServer::new(
         std::sync::Arc::clone(&store),
         ServeConfig {

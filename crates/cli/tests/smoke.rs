@@ -1110,3 +1110,117 @@ fn non_container_input_reports_bad_magic() {
         "must not misreport a CSV as an unsupported container version: {stderr}"
     );
 }
+
+/// Run `toc` with a deadline: a command that should fail fast must not
+/// be allowed to hang the suite instead.
+fn toc_within(args: &[&str], limit: std::time::Duration) -> Output {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_toc"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn toc binary");
+    let t0 = std::time::Instant::now();
+    while child.try_wait().expect("poll toc").is_none() {
+        if t0.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`toc {}` still running after {limit:?}", args.join(" "));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect toc output")
+}
+
+/// Numeric options are strict: a value that does not parse, or a zero
+/// row count, exits 1 quickly with an error naming the option — never a
+/// silent default, a hang or an abort.
+#[test]
+fn bad_numeric_options_fail_fast_naming_the_option() {
+    let csv = gen_csv(120);
+    let path = csv.to_str().unwrap();
+    let tocz = temp_path("zero-rows", "tocz");
+    let limit = std::time::Duration::from_secs(10);
+    let legs: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["train", path, "--epochs", "abc"], "--epochs"),
+        (vec!["train", path, "--lr", "xyz"], "--lr"),
+        (vec!["train", path, "--batch-rows", "q"], "--batch-rows"),
+        (vec!["train", path, "--batch-rows", "0"], "--batch-rows"),
+        (
+            vec!["train", path, "--batch-rows", "0", "--budget", "0"],
+            "--batch-rows",
+        ),
+        (vec!["serve", path, "--batch-rows", "0"], "--batch-rows"),
+        (vec!["serve", path, "--jobs", "many"], "--jobs"),
+        (vec!["bench", path, "--batch-rows", "0"], "--batch-rows"),
+        (
+            vec!["gen", "--preset", "census", "--rows", "0", path],
+            "--rows",
+        ),
+        (
+            vec![
+                "compress",
+                path,
+                tocz.to_str().unwrap(),
+                "--segment-rows",
+                "0",
+            ],
+            "--segment-rows",
+        ),
+        (
+            vec![
+                "compress",
+                path,
+                tocz.to_str().unwrap(),
+                "--batch-rows",
+                "x",
+            ],
+            "--batch-rows",
+        ),
+    ];
+    for (args, option) in legs {
+        let out = toc_within(&args, limit);
+        assert_eq!(out.status.code(), Some(1), "{}", args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(option), "{option} not named: {stderr}");
+    }
+    assert!(!tocz.exists(), "a rejected compress must not write output");
+    std::fs::remove_file(csv).ok();
+}
+
+/// `--mbps` is a labelled simulation: with it, the `io:` line reports the
+/// delay as a simulated device's; without it the store never sleeps and
+/// the line carries no simulated-delay field at all.
+#[test]
+fn mbps_delay_is_labelled_simulated_and_absent_without_mbps() {
+    let csv = gen_csv(400);
+    let io_line = |extra: &[&str]| {
+        let mut args = vec![
+            "train",
+            csv.to_str().unwrap(),
+            "--epochs",
+            "2",
+            "--budget",
+            "0",
+            "--shards",
+            "2",
+        ];
+        args.extend(extra);
+        let stdout = assert_ok(&toc(&args), &args.join(" "));
+        stdout
+            .lines()
+            .find(|l| l.starts_with("io:"))
+            .unwrap_or_else(|| panic!("no io: line in {stdout}"))
+            .to_string()
+    };
+    let simulated = io_line(&["--mbps", "2000"]);
+    assert!(
+        simulated.contains("simulated device delay") && simulated.contains("--mbps 2000"),
+        "{simulated}"
+    );
+    let real = io_line(&[]);
+    assert!(!real.contains("simulated"), "{real}");
+    assert!(!real.contains("delay"), "{real}");
+    std::fs::remove_file(csv).ok();
+}

@@ -215,7 +215,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`]: an exact `usize`, a
+    /// Length specifications accepted by [`vec()`]: an exact `usize`, a
     /// half-open range, or an inclusive range.
     pub trait SizeRange {
         fn sample_len(&self, rng: &mut TestRng) -> usize;

@@ -1,27 +1,20 @@
-//! The spill read path and the device model underneath it.
+//! The spill read path.
 //!
 //! Every spilled batch the store reads — prefetch workers, visitor
 //! misses, tenant cache misses, adaptive migrations — goes through one
-//! function, [`IoShards::read_range`]: a positional `pread` of the
-//! batch's extent in its shard file ([`SpillFile`]), then one accounting
-//! step that charges the simulated device ([`BandwidthClock`],
-//! [`DeviceProfile`]), bumps the [`IoStats`] counters, records the read's
-//! latency and feeds the per-shard [`BandwidthProfile`] the adaptive
-//! placement planner ranks shards by. With a
-//! [`crate::testing::FaultPlan`] on the store, the same read is served
-//! through [`crate::testing::FaultPlan::faulty_read`] instead: injected
-//! latency, chunked partial reads and `EINTR`-style retry spins, each
-//! chunk accounted like a plain read.
-//!
-//! Overlap comes from the store's synchronous prefetch workers
-//! ([`crate::store::StoreConfig::with_prefetch`]), each of which reads
-//! and decodes one upcoming batch at a time. Concurrent readers of one
-//! shard share its bandwidth clock; readers of different shards do not.
+//! function, `IoShards::read_range`: a positional `pread` of the batch's
+//! extent in its shard file, then one accounting step that bumps the
+//! [`IoStats`] counters, records the read's latency and feeds the
+//! per-shard [`BandwidthProfile`] the adaptive placement planner ranks
+//! shards by. Nothing on this path sleeps unless the store carries a
+//! [`crate::testing::FaultPlan`]: its faults then wrap the read, and its
+//! simulated devices are charged between the `pread` and the latency
+//! observation, so the profiler sees the simulated delay.
 //!
 //! [`SeekableContainer`] reads v2 `.tocz` segments through the same
-//! positional [`SpillFile`] seam.
+//! positional-read seam.
 
-use crate::testing::FaultPlan;
+use crate::testing::{BandwidthClock, FaultPlan};
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
@@ -50,7 +43,7 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, 
 }
 
 // ---------------------------------------------------------------------------
-// The positional-read seam and the simulated-bandwidth device model.
+// The positional-read seam.
 
 /// A spill file readable at arbitrary offsets by any number of threads.
 ///
@@ -123,124 +116,6 @@ impl SpillFile {
         {
             lock(&self.file).sync_all()
         }
-    }
-}
-
-/// Simulated-bandwidth clock for one spill device (shard). Readers reserve
-/// an interval on the device timeline and sleep until their reservation
-/// completes, so concurrent readers of one device share its bandwidth
-/// (the aggregate never exceeds `mbps`) while readers of other devices
-/// are unaffected. The delay is accounted per-shard with no lock held.
-#[derive(Debug, Default)]
-pub(crate) struct BandwidthClock {
-    /// Device busy-until, in nanoseconds since the store's epoch.
-    busy_until_ns: AtomicU64,
-}
-
-impl BandwidthClock {
-    pub(crate) fn charge(&self, epoch: Instant, len: usize, mbps: f64, stats: &IoStats) {
-        let delay_ns = (len as f64 / (mbps * 1e6) * 1e9) as u64;
-        let now = epoch.elapsed().as_nanos() as u64;
-        let mut cur = self.busy_until_ns.load(Ordering::Relaxed);
-        let deadline = loop {
-            let deadline = cur.max(now) + delay_ns;
-            match self.busy_until_ns.compare_exchange_weak(
-                cur,
-                deadline,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break deadline,
-                Err(seen) => cur = seen,
-            }
-        };
-        stats.throttle_ns.fetch_add(delay_ns, Ordering::Relaxed);
-        if deadline > now {
-            std::thread::sleep(Duration::from_nanos(deadline - now));
-        }
-    }
-}
-
-/// Simulated bandwidth profile for one spill device. The store applies
-/// one per shard ([`crate::store::StoreConfig::with_shard_profiles`], or
-/// [`crate::testing::FaultPlan::device_profiles`] for the test harness),
-/// which is how heterogeneous storage tiers — a fast NVMe shard next to
-/// slow network volumes — enter the device model that the adaptive
-/// placement planner then has to discover at runtime.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeviceProfile {
-    /// Simulated read bandwidth for this device, in MB/s.
-    pub mbps: f64,
-    /// Fraction of the current bandwidth lost after each physical read
-    /// (`0.0` = stable device). Models a degrading/oversubscribed device:
-    /// the planner must notice the EWMA falling and migrate away.
-    pub degrade: f64,
-}
-
-impl DeviceProfile {
-    /// A stable device at `mbps`.
-    pub fn stable(mbps: f64) -> Self {
-        assert!(mbps.is_finite() && mbps > 0.0, "mbps must be > 0");
-        Self { mbps, degrade: 0.0 }
-    }
-
-    /// A device that starts at `mbps` and loses `degrade` (in `[0, 1)`)
-    /// of its remaining bandwidth per read, floored at
-    /// [`DEGRADE_FLOOR_MBPS`].
-    pub fn degrading(mbps: f64, degrade: f64) -> Self {
-        assert!(mbps.is_finite() && mbps > 0.0, "mbps must be > 0");
-        assert!((0.0..1.0).contains(&degrade), "degrade must be in [0,1)");
-        Self { mbps, degrade }
-    }
-}
-
-/// Lower bound a degrading device's bandwidth converges to, so a long run
-/// can never degrade into effectively-infinite simulated sleeps.
-pub const DEGRADE_FLOOR_MBPS: f64 = 1.0;
-
-/// One spill device: a positional-read file plus its bandwidth clock and
-/// optional per-device bandwidth profile (overrides the store-wide
-/// `disk_mbps` when set; mutable so degrading profiles can decay).
-#[derive(Debug)]
-pub(crate) struct SpillDevice {
-    pub(crate) file: SpillFile,
-    pub(crate) clock: BandwidthClock,
-    /// Current per-device MB/s as f64 bits; 0 bits = no override.
-    mbps_bits: AtomicU64,
-    degrade: f64,
-}
-
-impl SpillDevice {
-    pub(crate) fn with_profile(file: File, profile: Option<DeviceProfile>) -> Self {
-        Self {
-            file: SpillFile::new(file),
-            clock: BandwidthClock::default(),
-            mbps_bits: AtomicU64::new(profile.map_or(0, |p| p.mbps.to_bits())),
-            degrade: profile.map_or(0.0, |p| p.degrade),
-        }
-    }
-
-    /// The bandwidth this device currently simulates: its own profile if
-    /// one was set, else the store-wide fallback, else none (raw IO).
-    pub(crate) fn current_mbps(&self, fallback: Option<f64>) -> Option<f64> {
-        match self.mbps_bits.load(Ordering::Relaxed) {
-            0 => fallback,
-            bits => Some(f64::from_bits(bits)),
-        }
-    }
-
-    /// Apply the degrading profile after one physical read.
-    pub(crate) fn degrade_after_read(&self) {
-        if self.degrade <= 0.0 {
-            return;
-        }
-        let bits = self.mbps_bits.load(Ordering::Relaxed);
-        if bits == 0 {
-            return;
-        }
-        let next = (f64::from_bits(bits) * (1.0 - self.degrade)).max(DEGRADE_FLOOR_MBPS);
-        // Racing decays may lose one step; the decay is monotone either way.
-        self.mbps_bits.store(next.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -321,36 +196,33 @@ impl BandwidthProfile {
     }
 }
 
-/// The shared spill-device context every read goes through: the shard
-/// files, the bandwidth model, the runtime bandwidth profiler, the
-/// store's [`IoStats`] and the optional fault plan. Every spill read is
-/// [`IoShards::read_range`], so the throttle model, the profiler, the
-/// accounting and the fault injection can never drift apart between
-/// readers.
+/// The shared spill context every read goes through: the shard files,
+/// the runtime bandwidth profiler, the store's [`IoStats`], the optional
+/// fault plan and the simulated devices it brings. Every spill read is
+/// [`IoShards::read_range`], so the profiler, the accounting, the fault
+/// injection and the device model can never drift apart between readers.
 pub(crate) struct IoShards {
-    pub(crate) devices: Vec<SpillDevice>,
-    pub(crate) disk_mbps: Option<f64>,
-    pub(crate) epoch: Instant,
+    pub(crate) files: Vec<SpillFile>,
     pub(crate) stats: IoStats,
     pub(crate) profile: BandwidthProfile,
     /// Read and append faults (test support; see [`crate::testing`]).
     pub(crate) fault: Option<FaultPlan>,
+    /// One simulated bandwidth clock per shard; empty unless the fault
+    /// plan carries device profiles.
+    pub(crate) clocks: Vec<BandwidthClock>,
 }
 
 impl IoShards {
-    pub(crate) fn new(
-        devices: Vec<SpillDevice>,
-        disk_mbps: Option<f64>,
-        fault: Option<FaultPlan>,
-    ) -> Self {
-        let profile = BandwidthProfile::new(devices.len());
+    pub(crate) fn new(files: Vec<SpillFile>, fault: Option<FaultPlan>) -> Self {
+        let clocks = fault
+            .as_ref()
+            .map_or_else(Vec::new, |f| f.clocks(files.len()));
         Self {
-            devices,
-            disk_mbps,
-            epoch: Instant::now(),
+            profile: BandwidthProfile::new(files.len()),
+            files,
             stats: IoStats::default(),
-            profile,
             fault,
+            clocks,
         }
     }
 
@@ -372,18 +244,16 @@ impl IoShards {
     }
 
     /// One physical read of `buf.len()` bytes at `offset`, then the
-    /// accounting shared by every read: the bandwidth-clock charge plus
-    /// degradation step, the `disk_reads`/`bytes_read` counters, the
-    /// latency histogram and the profiler observation. The elapsed time
-    /// includes the simulated device delay and any queueing behind other
-    /// readers of the shard.
+    /// accounting shared by every read: the simulated device charge (only
+    /// with a device-model fault plan), the `disk_reads`/`bytes_read`
+    /// counters, the latency histogram and the profiler observation. The
+    /// elapsed time includes any simulated device delay and queueing
+    /// behind other readers of the shard.
     pub(crate) fn read_at(&self, shard: usize, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         let t0 = Instant::now();
-        let dev = &self.devices[shard];
-        dev.file.read_exact_at(buf, offset)?;
-        if let Some(mbps) = dev.current_mbps(self.disk_mbps) {
-            dev.clock.charge(self.epoch, buf.len(), mbps, &self.stats);
-            dev.degrade_after_read();
+        self.files[shard].read_exact_at(buf, offset)?;
+        if let Some(clock) = self.clocks.get(shard) {
+            clock.charge(buf.len());
         }
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -459,9 +329,6 @@ pub struct IoStats {
     /// Spilled visits requested through the prefetch pipeline; every one
     /// resolves to exactly one hit or miss by the time `visit` returns.
     pub spill_requests: AtomicU64,
-    /// Simulated bandwidth delay accounted against the shard clocks, in
-    /// nanoseconds (see [`crate::store::StoreConfig::disk_mbps`]).
-    pub throttle_ns: AtomicU64,
     /// Spilled tenant visits served from the shared compressed-batch
     /// cache ([`crate::serve::BatchCache`]) — no physical read, no
     /// prefetch request.
@@ -470,7 +337,7 @@ pub struct IoStats {
     /// direct physical read (each one increments `disk_reads` too).
     pub cache_misses: AtomicU64,
     /// Nanoseconds tenant jobs spent blocked on per-job IO-share QoS
-    /// throttling (disjoint from the device-model `throttle_ns`).
+    /// throttling.
     pub qos_throttle_ns: AtomicU64,
     /// Nanoseconds the streaming-ingest producer spent blocked on the
     /// bounded sealed-chunk budget
@@ -494,7 +361,6 @@ impl IoStats {
             prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
             prefetch_misses: self.prefetch_misses.load(Ordering::Relaxed),
             spill_requests: self.spill_requests.load(Ordering::Relaxed),
-            throttle_ns: self.throttle_ns.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             qos_throttle_ns: self.qos_throttle_ns.load(Ordering::Relaxed),
@@ -528,7 +394,6 @@ pub struct IoSnapshot {
     pub prefetch_hits: u64,
     pub prefetch_misses: u64,
     pub spill_requests: u64,
-    pub throttle_ns: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub qos_throttle_ns: u64,
@@ -794,7 +659,6 @@ impl SeekableContainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     #[test]
     fn latency_histogram_buckets_and_percentiles() {
@@ -916,44 +780,6 @@ mod tests {
         assert_eq!(p.samples(0), 2);
     }
 
-    #[test]
-    fn degrading_device_decays_to_floor() {
-        let dir = std::env::temp_dir().join(format!("toc-io-degrade-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dev.bin");
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .read(true)
-            .truncate(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(&[7u8; 64]).unwrap();
-        let dev = SpillDevice::with_profile(f, Some(DeviceProfile::degrading(100.0, 0.5)));
-        assert_eq!(dev.current_mbps(None), Some(100.0));
-        dev.degrade_after_read();
-        assert_eq!(dev.current_mbps(None), Some(50.0));
-        for _ in 0..32 {
-            dev.degrade_after_read();
-        }
-        assert_eq!(dev.current_mbps(None), Some(DEGRADE_FLOOR_MBPS));
-        // A stable device never decays, and without an override the
-        // store-wide fallback applies.
-        let f2 = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .read(true)
-            .open(&path)
-            .unwrap();
-        let stable = SpillDevice::with_profile(f2, None);
-        assert_eq!(stable.current_mbps(Some(42.0)), Some(42.0));
-        stable.degrade_after_read();
-        assert_eq!(stable.current_mbps(None), None);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir(&dir).ok();
-    }
-
     /// Every spill read — plain or through the fault gauntlet — delivers
     /// exactly the requested bytes and lands in the latency histogram
     /// once per physical read (a chunked faulty read once per chunk).
@@ -963,7 +789,8 @@ mod tests {
         let bytes: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         std::fs::write(&path, &bytes).unwrap();
         let open = || std::fs::File::open(&path).unwrap();
-        let plain = IoShards::new(vec![SpillDevice::with_profile(open(), None)], None, None);
+        let plain = IoShards::new(vec![SpillFile::new(open())], None);
+        assert!(plain.clocks.is_empty());
         let mut buf = Vec::new();
         plain.read_range(0, 100, 1000, &mut buf).unwrap();
         assert_eq!(buf, &bytes[100..1100]);
@@ -980,11 +807,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let faults = plan.stats.clone();
-        let faulty = IoShards::new(
-            vec![SpillDevice::with_profile(open(), None)],
-            None,
-            Some(plan),
-        );
+        let faulty = IoShards::new(vec![SpillFile::new(open())], Some(plan));
         faulty.read_range(0, 7, 3000, &mut buf).unwrap();
         assert_eq!(buf, &bytes[7..3007]);
         let s = faulty.stats.snapshot();

@@ -8,9 +8,10 @@
 //! of the end-to-end experiments (Tables 6–7, Figures 9–11): the sharded,
 //! prefetching [`ShardedSpillStore`], whose one segment table holds
 //! built and streamed batches alike. [`io`] is the spill read path
-//! underneath — positional reads, the simulated device model and the IO
-//! counters — and [`testing`] injects read and write faults into it for
-//! adversarial tests.
+//! underneath — positional reads, the bandwidth profiler and the IO
+//! counters — and [`testing`] holds the simulated device model and the
+//! read and write faults that tests, benches and the CLI's `--mbps` flag
+//! plug into it.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
 //! training jobs over one shared store and one heat-aware compressed
 //! batch cache.
@@ -30,8 +31,7 @@ pub use ingest::{
 };
 
 pub use io::{
-    BandwidthProfile, DeviceProfile, IoSnapshot, IoStats, LatencyHistogram, SeekableContainer,
-    LATENCY_BUCKETS,
+    BandwidthProfile, IoSnapshot, IoStats, LatencyHistogram, SeekableContainer, LATENCY_BUCKETS,
 };
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
 pub use store::{
@@ -40,4 +40,4 @@ pub use store::{
 pub use synth::{
     drifting_matrix, generate, generate_preset, Dataset, DatasetPreset, SynthConfig, TaskKind,
 };
-pub use testing::{FaultPlan, FaultStats};
+pub use testing::{DeviceProfile, FaultPlan, FaultStats};

@@ -12,12 +12,12 @@
 //! front ([`ShardedSpillStore::build`]) or appended by streaming ingest
 //! ([`ShardedSpillStore::append_sealed`]). Spilled batches are laid out
 //! across N shard files ([`StoreConfig::with_shards`]; one shard is the
-//! classic single spill file) and read with positional IO
-//! ([`crate::io::SpillFile`]), so concurrent visitors never serialize on
-//! a shared file cursor. An optional prefetch pipeline
-//! ([`StoreConfig::with_prefetch`]) keeps upcoming build-time batches
-//! decoded while the trainer computes on the current one: each worker
-//! reads one batch and decodes it, then takes the next.
+//! classic single spill file) and read with positional IO ([`crate::io`]),
+//! so concurrent visitors never serialize on a shared file cursor. An
+//! optional prefetch pipeline ([`StoreConfig::with_prefetch`]) keeps
+//! upcoming build-time batches decoded while the trainer computes on the
+//! current one. The IO is real and never sleeps: simulated bandwidth
+//! comes only from a test-support [`crate::testing::FaultPlan::device`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{self, File, OpenOptions};
@@ -31,8 +31,8 @@ use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
-use crate::io::{lock, rlock, wait, wlock, IoShards, SpillDevice};
-pub use crate::io::{DeviceProfile, IoSnapshot, IoStats};
+use crate::io::{lock, rlock, wait, wlock, IoShards, SpillFile};
+pub use crate::io::{IoSnapshot, IoStats};
 
 /// How spilled batches are laid out across the shard files.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -102,18 +102,6 @@ pub struct StoreConfig {
     pub memory_budget: usize,
     /// Spill directory; defaults to a fresh directory under the OS temp dir.
     pub spill_dir: Option<PathBuf>,
-    /// Simulated disk read bandwidth in MB/s. The paper's end-to-end runs
-    /// read spilled batches from cloud block storage; on a dev box the OS
-    /// page cache makes re-reads nearly free, which would hide the IO wall
-    /// the experiments measure. Each spill file (shard) models an
-    /// independent device: a read of `len` bytes reserves a
-    /// `len / mbps` interval on that device's timeline and sleeps until
-    /// the reservation completes, so concurrent readers of one shard
-    /// share its bandwidth while readers of different shards proceed in
-    /// parallel. A prefetch worker absorbs the sleep of the read it
-    /// serves, overlapping it with the trainer's compute. `None` performs
-    /// raw IO only.
-    pub disk_mbps: Option<f64>,
     /// Number of shard files for [`ShardedSpillStore`]; `0` means one
     /// shard per available hardware thread.
     pub shards: usize,
@@ -124,15 +112,11 @@ pub struct StoreConfig {
     pub prefetch: usize,
     /// Spilled-batch layout across shard files.
     pub placement: ShardPlacement,
-    /// Per-shard simulated device profiles (cycled over the shards when
-    /// shorter). Overrides the uniform `disk_mbps` per device — this is
-    /// how heterogeneous storage tiers enter the model. Empty = uniform.
-    pub shard_profiles: Vec<DeviceProfile>,
-    /// Fault-injection plan (test support): when set, every spill read
-    /// goes through [`crate::testing::FaultPlan::faulty_read`] (latency,
-    /// chunked short reads, `EINTR`-style retries), every streaming
-    /// append through its write faults, and its `device_profiles`
-    /// override `shard_profiles`.
+    /// Fault-injection plan (test support; see [`crate::testing`]): when
+    /// set, every spill read meets its read faults (latency, chunked
+    /// short reads, `EINTR`-style retries), every streaming append its
+    /// write faults, and its `device_profiles` become the simulated shard
+    /// devices every physical read is charged to. `None` = real IO.
     pub fault: Option<crate::testing::FaultPlan>,
     /// Per-scheme encoding knobs (CLA planner choice and sample size).
     pub encode: toc_formats::EncodeOptions,
@@ -152,11 +136,9 @@ impl StoreConfig {
             batch_rows,
             memory_budget,
             spill_dir: None,
-            disk_mbps: None,
             shards: 0,
             prefetch: 0,
             placement: ShardPlacement::Stripe,
-            shard_profiles: Vec::new(),
             fault: None,
             encode: toc_formats::EncodeOptions::default(),
             max_pending: 0,
@@ -173,20 +155,6 @@ impl StoreConfig {
     /// Builder-style encoding-options override.
     pub fn with_encode_options(mut self, encode: toc_formats::EncodeOptions) -> Self {
         self.encode = encode;
-        self
-    }
-
-    /// Builder-style bandwidth override. `mbps` must be finite and
-    /// positive: zero would model an infinitely slow disk (the first
-    /// spilled read would sleep forever) and negative rates are
-    /// meaningless, so both are rejected eagerly here rather than hanging
-    /// a training run later.
-    pub fn with_disk_mbps(mut self, mbps: f64) -> Self {
-        assert!(
-            mbps.is_finite() && mbps > 0.0,
-            "disk_mbps must be finite and > 0, got {mbps}"
-        );
-        self.disk_mbps = Some(mbps);
         self
     }
 
@@ -208,21 +176,8 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style per-shard device-profile override (cycled over the
-    /// shards when shorter than the shard count).
-    pub fn with_shard_profiles(mut self, profiles: Vec<DeviceProfile>) -> Self {
-        self.shard_profiles = profiles;
-        self
-    }
-
-    /// Convenience: stable per-shard bandwidths in MB/s (the asymmetric
-    /// storage-tier model without degradation).
-    pub fn with_shard_mbps(mut self, mbps: Vec<f64>) -> Self {
-        self.shard_profiles = mbps.into_iter().map(DeviceProfile::stable).collect();
-        self
-    }
-
-    /// Builder-style fault-plan override (test support).
+    /// Builder-style fault-plan override (test support; the only way to
+    /// simulate device bandwidth).
     pub fn with_fault_plan(mut self, plan: crate::testing::FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -232,6 +187,18 @@ impl StoreConfig {
     pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
         self.spill_dir = Some(dir);
         self
+    }
+
+    /// A batch must hold at least one row: with `batch_rows == 0` the
+    /// batching loops would never advance.
+    fn check_batch_rows(&self) -> std::io::Result<()> {
+        if self.batch_rows == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "batch_rows must be >= 1",
+            ));
+        }
+        Ok(())
     }
 
     fn resolved_shards(&self) -> usize {
@@ -572,29 +539,18 @@ struct AppendState {
 }
 
 impl Inner {
-    /// The one place a store's shared state is assembled: wrap the shard
-    /// files as devices (per-shard profiles cycle when shorter than the
-    /// shard count; the fault plan's win over the config's) around an
-    /// empty segment table.
+    /// The one place a store's shared state is assembled: the shard files
+    /// (and the fault plan's simulated devices, if any) around an empty
+    /// segment table.
     fn new(
         features: usize,
         config: &StoreConfig,
         shards: Vec<(File, PathBuf)>,
         cursors: Vec<u64>,
     ) -> Self {
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
-        let (devices, shard_paths): (Vec<SpillDevice>, Vec<PathBuf>) = shards
+        let (files, shard_paths): (Vec<SpillFile>, Vec<PathBuf>) = shards
             .into_iter()
-            .enumerate()
-            .map(|(s, (f, path))| {
-                let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-                (SpillDevice::with_profile(f, profile), path)
-            })
+            .map(|(f, path)| (SpillFile::new(f), path))
             .unzip();
         Self {
             scheme: config.scheme,
@@ -610,11 +566,7 @@ impl Inner {
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
             placement_stats: PlacementStats::default(),
-            io: Arc::new(IoShards::new(
-                devices,
-                config.disk_mbps,
-                config.fault.clone(),
-            )),
+            io: Arc::new(IoShards::new(files, config.fault.clone())),
         }
     }
 
@@ -659,7 +611,7 @@ impl Inner {
                 let seq = self.sealed.load(Ordering::Relaxed) - self.base;
                 plan.faulty_append(&self.io, shard, offset, bytes, seq as u64)?
             }
-            None => self.io.devices[shard].file.write_all_at(bytes, offset)?,
+            None => self.io.files[shard].write_all_at(bytes, offset)?,
         }
         append.cursors[shard] = offset + bytes.len() as u64;
         let loc = DiskLoc {
@@ -712,7 +664,7 @@ struct PrefetchShared {
 
 /// Background decode pipeline: worker threads pull scheduled indices,
 /// read them from the shards ([`IoShards::read_range`]: positional IO,
-/// per-shard throttle, faults when a plan is set) into reusable
+/// faults and simulated devices when a plan is set) into reusable
 /// [`ExecScratch`]-backed slots, and park the decoded batches for the
 /// visitors. Each visit schedules the next `depth` spilled indices;
 /// backpressure caps decoded-but-unconsumed batches at `2 × depth`.
@@ -916,8 +868,8 @@ impl Staging {
                 }
             }
         }
-        for dev in &inner.io.devices {
-            dev.file.sync_all()?;
+        for file in &inner.io.files {
+            file.sync_all()?;
         }
         let base = inner.sealed.load(Ordering::Relaxed);
         inner.base = base;
@@ -931,6 +883,7 @@ impl ShardedSpillStore {
     /// past the memory budget out across `config.shards` shard files.
     pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
         assert_eq!(x.rows(), labels.len());
+        config.check_batch_rows()?;
         let mut staging = Staging::default();
         let mut start = 0usize;
         while start < x.rows() {
@@ -955,6 +908,7 @@ impl ShardedSpillStore {
     /// memory is one decoded segment plus one staged batch, not the
     /// dataset.
     pub fn build_from_container(path: &Path, config: &StoreConfig) -> std::io::Result<Self> {
+        config.check_batch_rows()?;
         let inval = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let sc = crate::io::SeekableContainer::open(path).map_err(inval)?;
         let cols = sc.cols();
@@ -1301,6 +1255,12 @@ impl ShardedSpillStore {
         &self.inner.io.stats
     }
 
+    /// Whether spill reads are charged to simulated devices (only with a
+    /// fault plan that carries device profiles).
+    pub fn simulates_devices(&self) -> bool {
+        !self.inner.io.clocks.is_empty()
+    }
+
     /// Whether the prefetch pipeline is active.
     pub fn prefetch_enabled(&self) -> bool {
         self.prefetcher.is_some()
@@ -1470,11 +1430,7 @@ impl ShardedSpillStore {
                 continue; // keep the old location; the visit path surfaces IO errors
             }
             let offset = append.cursors[target];
-            if inner.io.devices[target]
-                .file
-                .write_all_at(&buf, offset)
-                .is_err()
-            {
+            if inner.io.files[target].write_all_at(&buf, offset).is_err() {
                 continue;
             }
             append.cursors[target] += loc.len as u64;
@@ -1673,7 +1629,7 @@ impl Drop for ShardedSpillStore {
         // ref count is unexpectedly higher we skip closing (unix unlinks
         // open files fine).
         if let Some(inner) = Arc::get_mut(&mut self.inner) {
-            inner.io = Arc::new(IoShards::new(Vec::new(), None, None));
+            inner.io = Arc::new(IoShards::new(Vec::new(), None));
         }
         for path in &self.inner.shard_paths {
             let _ = fs::remove_file(path);
@@ -1693,6 +1649,12 @@ mod tests {
     fn dataset() -> (DenseMatrix, Vec<f64>) {
         let ds = generate_preset(DatasetPreset::CensusLike, 600, 21);
         (ds.x, ds.labels)
+    }
+
+    /// A fault plan that only simulates stable devices at `mbps`.
+    fn stable_devices(mbps: &[f64]) -> crate::testing::FaultPlan {
+        use crate::testing::{DeviceProfile, FaultPlan};
+        FaultPlan::device(mbps.iter().map(|&m| DeviceProfile::stable(m)).collect())
     }
 
     /// The single-spill-file configuration.
@@ -1772,6 +1734,23 @@ mod tests {
         let err = report.model.error_rate(&eval, &y);
         assert!(err < 0.25, "error {err}");
         assert!(store.stats().disk_reads.load(Ordering::Relaxed) >= 8 * 6);
+    }
+
+    /// A zero batch size is rejected up front: the batching loops would
+    /// never advance past the first row.
+    #[test]
+    fn zero_batch_rows_is_invalid_input() {
+        let (x, y) = dataset();
+        let config = StoreConfig::new(Scheme::Toc, 0, 0).with_shards(1);
+        let err = ShardedSpillStore::build(&x, &y, &config)
+            .err()
+            .expect("must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let tocz = std::env::temp_dir().join(format!("toc-zero-rows-{}.tocz", std::process::id()));
+        let err = ShardedSpillStore::build_from_container(&tocz, &config)
+            .err()
+            .expect("must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]
@@ -1979,18 +1958,21 @@ mod tests {
 
     #[test]
     fn bandwidth_throttle_accounts_per_shard() {
+        use crate::testing::{DeviceProfile, FaultPlan};
         let (x, y) = dataset();
         let mbps = 400.0;
+        let plan = FaultPlan::device(vec![DeviceProfile::stable(mbps)]);
+        let throttle_ns = Arc::clone(&plan.stats.throttle_ns);
         let config = StoreConfig::new(Scheme::Den, 150, 0)
             .with_shards(2)
-            .with_disk_mbps(mbps);
+            .with_fault_plan(plan);
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        assert!(store.simulates_devices());
         let t0 = Instant::now();
         for i in 0..store.num_batches() {
             store.visit(i, &mut |_, _| {});
         }
         let elapsed = t0.elapsed();
-        let s = store.stats().snapshot();
         // The accounted delay is deterministic: sum of len/mbps per read.
         let expected: u64 = (0..store.num_batches())
             .map(|i| {
@@ -1998,7 +1980,7 @@ mod tests {
                 (loc.len as f64 / (mbps * 1e6) * 1e9) as u64
             })
             .sum();
-        assert_eq!(s.throttle_ns, expected);
+        assert_eq!(throttle_ns.load(Ordering::Relaxed), expected);
         // A sequential sweep really slept for (at least) the simulated time
         // of the slowest shard.
         let slowest_shard_ns = store
@@ -2130,7 +2112,7 @@ mod tests {
         let config = StoreConfig::new(Scheme::Den, 100, 0)
             .with_shards(2)
             .with_placement(ShardPlacement::Adaptive)
-            .with_shard_mbps(vec![2000.0, 10.0]);
+            .with_fault_plan(stable_devices(&[2000.0, 10.0]));
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
         assert_eq!(store.spilled_batches(), 6);
         let initial = store.shard_bytes();
@@ -2177,7 +2159,7 @@ mod tests {
             let config = StoreConfig::new(Scheme::Toc, 100, 0)
                 .with_shards(2)
                 .with_placement(placement)
-                .with_shard_mbps(vec![2000.0, 10.0]);
+                .with_fault_plan(stable_devices(&[2000.0, 10.0]));
             let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
             for i in 0..store.num_batches() {
                 store.visit(i, &mut |_, _| {});

@@ -1,27 +1,36 @@
-//! Test support: fault injection on the spill read and append paths.
+//! Test support: the simulated device model and fault injection on the
+//! spill read and append paths.
 //!
 //! A [`FaultPlan`] set on a store ([`crate::store::StoreConfig::with_fault_plan`])
-//! routes every spill read through [`FaultPlan::faulty_read`] and every
-//! streaming append through [`FaultPlan::faulty_append`]: injected
-//! latency, chunked partial reads or writes, and `EINTR`-style retry
-//! spins, all driven by an RNG seeded per operation. Reads are seeded by
-//! their extent, so a given read always meets the same faults no matter
-//! which thread issues it — prefetch worker, visitor miss, tenant cache
-//! miss or adaptive migration. The faults are benign: the bytes delivered
-//! or written are always exactly the requested ones, so any output
-//! difference they provoke is a real bug. The fault-injection suite
-//! (`crates/data/tests/fault_injection.rs`) asserts with proptest over the
-//! fault space that batches and trained weights stay bit-identical.
+//! is the only way to make its spill IO anything but real; a store
+//! without one never sleeps. A plan does two things:
+//!
+//! - **Simulated devices.** With [`FaultPlan::device_profiles`], every
+//!   physical spill read reserves `len / mbps` on its shard's bandwidth
+//!   clock and sleeps until the reservation completes: readers of one
+//!   shard share its bandwidth, readers of different shards do not. The
+//!   delay lands in [`FaultStats::throttle_ns`]. [`FaultPlan::device`]
+//!   simulates devices with every fault off; the benches and the CLI's
+//!   `--mbps` use it to stand in for the paper's cloud block storage,
+//!   which the OS page cache would otherwise hide.
+//! - **Faults.** Every spill read and streaming append meets injected
+//!   latency, chunked partial reads or writes, and `EINTR`-style retry
+//!   spins, driven by an RNG seeded per operation. Reads are seeded by
+//!   their extent, so a read meets the same faults whichever thread
+//!   issues it. The faults are benign — the bytes delivered or written
+//!   are exactly the requested ones — so any output difference they
+//!   provoke is a real bug; `crates/data/tests/fault_injection.rs`
+//!   asserts batches and trained weights stay bit-identical.
 //!
 //! This module is compiled into the library (not `#[cfg(test)]`) so
-//! integration tests and other crates' suites can drive it.
+//! integration tests, benches and the CLI can drive it.
 
-use crate::io::{DeviceProfile, IoShards};
+use crate::io::IoShards;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared observability counters for a [`FaultPlan`]: tests keep a clone
 /// of the plan and assert the faults actually fired.
@@ -36,10 +45,13 @@ pub struct FaultStats {
     pub chunked_writes: Arc<AtomicU64>,
     /// Total injected latency, in microseconds.
     pub delayed_us: Arc<AtomicU64>,
+    /// Simulated device delay charged against the shard bandwidth clocks,
+    /// in nanoseconds (see [`FaultPlan::device_profiles`]).
+    pub throttle_ns: Arc<AtomicU64>,
 }
 
-/// Fault schedule for the spill read and append paths. See the module
-/// docs.
+/// Fault schedule and simulated devices for the spill read and append
+/// paths. See the module docs.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// RNG seed for the fault schedule.
@@ -58,12 +70,12 @@ pub struct FaultPlan {
     /// Per-chunk probability (‰) of an `EINTR`-style retry spin before
     /// the chunk proceeds.
     pub eintr_per_mille: u32,
-    /// Per-shard asymmetric bandwidth profiles (cycled when shorter than
-    /// the shard count; empty = the store's uniform model). This is how
-    /// the scheduler harness gives the store fast, slow, and degrading
-    /// devices to discover: the profiles are applied to the shard devices
-    /// at store build, so every read simulates them, and the adaptive
-    /// planner has a real signal to migrate by.
+    /// Per-shard simulated device profiles, cycled when shorter than the
+    /// shard count (one profile = a uniform device model). Empty = real
+    /// IO with no simulated delay. This is how heterogeneous storage
+    /// tiers — a fast NVMe shard next to slow network volumes — enter the
+    /// model that the adaptive placement planner then has to discover at
+    /// runtime.
     pub device_profiles: Vec<DeviceProfile>,
     /// Observability counters (shared through clones of the plan).
     pub stats: FaultStats,
@@ -91,6 +103,36 @@ impl FaultPlan {
             seed,
             ..Self::default()
         }
+    }
+
+    /// A plan that only simulates `profiles` (cycled over the shards) and
+    /// injects no faults: every read and append is whole, undelayed and
+    /// uninterrupted, so the device clocks are the only difference from
+    /// real IO.
+    pub fn device(profiles: Vec<DeviceProfile>) -> Self {
+        Self {
+            max_latency_us: 0,
+            chunked_reads: false,
+            chunked_writes: false,
+            eintr_per_mille: 0,
+            device_profiles: profiles,
+            ..Self::default()
+        }
+    }
+
+    /// One bandwidth clock per shard, cycling `device_profiles`; empty
+    /// when the plan simulates no devices.
+    pub(crate) fn clocks(&self, shards: usize) -> Vec<BandwidthClock> {
+        if self.device_profiles.is_empty() {
+            return Vec::new();
+        }
+        let epoch = Instant::now();
+        (0..shards)
+            .map(|s| {
+                let profile = self.device_profiles[s % self.device_profiles.len()];
+                BandwidthClock::new(epoch, profile, Arc::clone(&self.stats.throttle_ns))
+            })
+            .collect()
     }
 
     /// The fault schedule for operation `key`: deterministic in the seed
@@ -171,7 +213,7 @@ impl FaultPlan {
     ) -> std::io::Result<()> {
         let mut rng = self.rng(seq);
         self.delay(&mut rng);
-        let file = &io.devices[shard].file;
+        let file = &io.files[shard];
         let Some(chunk) = Self::chunk_len(&mut rng, self.chunked_writes, bytes.len()) else {
             return file.write_all_at(bytes, offset);
         };
@@ -181,5 +223,132 @@ impl FaultPlan {
             file.write_all_at(part, offset + (i * chunk) as u64)?;
         }
         Ok(())
+    }
+}
+
+/// Simulated bandwidth profile for one spill device; see
+/// [`FaultPlan::device_profiles`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DeviceProfile {
+    /// Simulated read bandwidth for this device, in MB/s.
+    pub mbps: f64,
+    /// Fraction of the current bandwidth lost after each physical read
+    /// (`0.0` = stable device). Models a degrading/oversubscribed device:
+    /// the planner must notice the EWMA falling and migrate away.
+    pub degrade: f64,
+}
+
+impl DeviceProfile {
+    /// A stable device at `mbps`.
+    pub fn stable(mbps: f64) -> Self {
+        Self::degrading(mbps, 0.0)
+    }
+
+    /// A device that starts at `mbps` and loses `degrade` (in `[0, 1)`)
+    /// of its remaining bandwidth per read, floored at
+    /// [`DEGRADE_FLOOR_MBPS`].
+    pub fn degrading(mbps: f64, degrade: f64) -> Self {
+        assert!(mbps.is_finite() && mbps > 0.0, "mbps must be > 0");
+        assert!((0.0..1.0).contains(&degrade), "degrade must be in [0,1)");
+        Self { mbps, degrade }
+    }
+}
+
+/// Lower bound a degrading device's bandwidth converges to, so a long run
+/// can never degrade into effectively-infinite simulated sleeps.
+pub const DEGRADE_FLOOR_MBPS: f64 = 1.0;
+
+/// Simulated-bandwidth clock for one spill device (shard). Readers reserve
+/// an interval on the device timeline and sleep until their reservation
+/// completes, so concurrent readers of one device share its bandwidth
+/// (the aggregate never exceeds the device's rate) while readers of other
+/// devices are unaffected. No lock is held while sleeping.
+#[derive(Debug)]
+pub(crate) struct BandwidthClock {
+    epoch: Instant,
+    /// Device busy-until, in nanoseconds since `epoch`.
+    busy_until_ns: AtomicU64,
+    /// Current MB/s as f64 bits (a degrading device lowers it per read).
+    mbps_bits: AtomicU64,
+    degrade: f64,
+    /// The plan's [`FaultStats::throttle_ns`].
+    throttle_ns: Arc<AtomicU64>,
+}
+
+impl BandwidthClock {
+    fn new(epoch: Instant, profile: DeviceProfile, throttle_ns: Arc<AtomicU64>) -> Self {
+        Self {
+            epoch,
+            busy_until_ns: AtomicU64::new(0),
+            mbps_bits: AtomicU64::new(profile.mbps.to_bits()),
+            degrade: profile.degrade,
+            throttle_ns,
+        }
+    }
+
+    /// The bandwidth this device currently simulates, in MB/s.
+    fn mbps(&self) -> f64 {
+        f64::from_bits(self.mbps_bits.load(Ordering::Relaxed))
+    }
+
+    /// Charge one physical read of `len` bytes: reserve `len / mbps` on
+    /// the device timeline, sleep until the reservation completes, then
+    /// apply the degrading profile.
+    pub(crate) fn charge(&self, len: usize) {
+        let delay_ns = (len as f64 / (self.mbps() * 1e6) * 1e9) as u64;
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        let mut cur = self.busy_until_ns.load(Ordering::Relaxed);
+        let deadline = loop {
+            let deadline = cur.max(now) + delay_ns;
+            match self.busy_until_ns.compare_exchange_weak(
+                cur,
+                deadline,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break deadline,
+                Err(seen) => cur = seen,
+            }
+        };
+        self.throttle_ns.fetch_add(delay_ns, Ordering::Relaxed);
+        if deadline > now {
+            std::thread::sleep(Duration::from_nanos(deadline - now));
+        }
+        if self.degrade > 0.0 {
+            let next = (self.mbps() * (1.0 - self.degrade)).max(DEGRADE_FLOOR_MBPS);
+            // Racing decays may lose one step; the decay is monotone either way.
+            self.mbps_bits.store(next.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn degrading_device_decays_to_floor() {
+        let plan = FaultPlan::device(vec![
+            DeviceProfile::degrading(100.0, 0.5),
+            DeviceProfile::stable(42.0),
+        ]);
+        let clocks = plan.clocks(3);
+        assert_eq!(clocks.len(), 3);
+        assert_eq!(clocks[0].mbps(), 100.0);
+        clocks[0].charge(1);
+        assert_eq!(clocks[0].mbps(), 50.0);
+        for _ in 0..32 {
+            clocks[0].charge(1);
+        }
+        assert_eq!(clocks[0].mbps(), DEGRADE_FLOOR_MBPS);
+        // A stable device never decays, and the profiles cycle over the
+        // shards.
+        clocks[1].charge(1);
+        assert_eq!(clocks[1].mbps(), 42.0);
+        assert_eq!(clocks[2].mbps(), 100.0);
+        // Every charge lands in the plan's shared throttle counter.
+        assert!(plan.stats.throttle_ns.load(Ordering::Relaxed) > 0);
+        // Without profiles there is no device state at all.
+        assert!(FaultPlan::default().clocks(4).is_empty());
     }
 }

@@ -11,10 +11,20 @@
 
 use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
-use toc_data::DeviceProfile;
+use toc_data::{DeviceProfile, FaultPlan};
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
+
+/// The asymmetric device model of the adaptive legs: a fast shard, a
+/// degrading one and a slow one.
+fn degrading_devices() -> Vec<DeviceProfile> {
+    vec![
+        DeviceProfile::stable(900.0),
+        DeviceProfile::degrading(400.0, 0.1),
+        DeviceProfile::stable(90.0),
+    ]
+}
 
 struct Run {
     name: &'static str,
@@ -97,7 +107,9 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shards(3)
                 .with_prefetch(3)
                 .with_placement(ShardPlacement::Adaptive)
-                .with_shard_mbps(vec![900.0, 90.0, 90.0]),
+                .with_fault_plan(FaultPlan::device(
+                    [900.0, 90.0, 90.0].map(DeviceProfile::stable).to_vec(),
+                )),
         ),
         (
             "adaptive+prefetch-degrading",
@@ -105,11 +117,7 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shards(3)
                 .with_prefetch(3)
                 .with_placement(ShardPlacement::Adaptive)
-                .with_shard_profiles(vec![
-                    DeviceProfile::stable(900.0),
-                    DeviceProfile::degrading(400.0, 0.1),
-                    DeviceProfile::stable(90.0),
-                ]),
+                .with_fault_plan(FaultPlan::device(degrading_devices())),
         ),
     ];
     for (name, config) in sharded_configs {
@@ -154,7 +162,6 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 fn concurrent_tenants_train_bit_identical_to_solo() {
     use std::sync::Arc;
     use toc_data::serve::{JobServer, JobSpec, ServeConfig};
-    use toc_data::FaultPlan;
 
     let ds = generate_preset(DatasetPreset::CensusLike, 480, 13);
     let scheme = Scheme::Toc;
@@ -165,12 +172,10 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
             .with_shards(3)
             .with_prefetch(3)
             .with_placement(ShardPlacement::Adaptive)
-            .with_shard_profiles(vec![
-                DeviceProfile::stable(900.0),
-                DeviceProfile::degrading(400.0, 0.1),
-                DeviceProfile::stable(90.0),
-            ])
-            .with_fault_plan(plan)
+            .with_fault_plan(FaultPlan {
+                device_profiles: degrading_devices(),
+                ..plan
+            })
     };
     let job = |i: usize| {
         JobSpec::new(
@@ -264,7 +269,7 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
 #[test]
 fn online_training_over_streaming_store_matches_materialized() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use toc_data::{FaultPlan, StoreIngest};
+    use toc_data::StoreIngest;
     use toc_formats::EncodeOptions;
     use toc_ml::mgd::OnlineReport;
 
@@ -282,12 +287,10 @@ fn online_training_over_streaming_store_matches_materialized() {
         StoreConfig::new(scheme, batch_rows, 0)
             .with_shards(3)
             .with_placement(ShardPlacement::Adaptive)
-            .with_shard_profiles(vec![
-                DeviceProfile::stable(900.0),
-                DeviceProfile::degrading(400.0, 0.1),
-                DeviceProfile::stable(90.0),
-            ])
-            .with_fault_plan(FaultPlan::seeded(0xF011))
+            .with_fault_plan(FaultPlan {
+                device_profiles: degrading_devices(),
+                ..FaultPlan::seeded(0xF011)
+            })
     };
 
     // Reference: the identical online pass over a store built the

@@ -2,11 +2,11 @@
 //! planner.
 //!
 //! The store is given shards with *asymmetric* simulated bandwidth —
-//! fast, slow, and degrading device profiles, applied either directly
-//! ([`StoreConfig::with_shard_profiles`]) or through a fault plan
-//! ([`FaultPlan::device_profiles`], which adds seeded latency, chunked
-//! short reads and EINTR retries to every spill read on top). The
-//! properties under test:
+//! fast, slow, and degrading device profiles, always through a fault plan
+//! ([`FaultPlan::device_profiles`]): either a device-only plan
+//! ([`FaultPlan::device`]) or one that adds seeded latency, chunked short
+//! reads and EINTR retries to every spill read on top. The properties
+//! under test:
 //!
 //! * the runtime bandwidth profiler separates fast from slow shards,
 //! * the adaptive planner migrates ≥ 80% of the hot batches onto the
@@ -18,13 +18,21 @@
 use std::sync::atomic::Ordering;
 use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
-use toc_data::testing::FaultPlan;
-use toc_data::DeviceProfile;
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::BatchProvider;
 
 const FAST_MBPS: f64 = 600.0;
 const SLOW_MBPS: f64 = 25.0;
+
+/// Shards 0/1 fast, 2/3 slow, and no faults.
+fn two_tier_devices() -> FaultPlan {
+    FaultPlan::device(
+        [FAST_MBPS, FAST_MBPS, SLOW_MBPS, SLOW_MBPS]
+            .map(DeviceProfile::stable)
+            .to_vec(),
+    )
+}
 
 fn dataset() -> (toc_linalg::DenseMatrix, Vec<f64>) {
     let ds = generate_preset(DatasetPreset::CensusLike, 600, 21);
@@ -70,7 +78,7 @@ fn adaptive_migrates_hot_batches_to_fast_shards_within_two_epochs() {
     let config = StoreConfig::new(Scheme::Den, 25, 0)
         .with_shards(4)
         .with_placement(ShardPlacement::Adaptive)
-        .with_shard_mbps(vec![FAST_MBPS, FAST_MBPS, SLOW_MBPS, SLOW_MBPS]);
+        .with_fault_plan(two_tier_devices());
     let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
     assert_eq!(store.spilled_batches(), 24);
     let expected = expected_bytes(&x, Scheme::Den, 25);
@@ -179,10 +187,10 @@ fn degrading_shard_sheds_batches_as_its_ewma_falls() {
     let config = StoreConfig::new(Scheme::Den, 25, 0)
         .with_shards(2)
         .with_placement(ShardPlacement::Adaptive)
-        .with_shard_profiles(vec![
+        .with_fault_plan(FaultPlan::device(vec![
             DeviceProfile::degrading(800.0, 0.25),
             DeviceProfile::stable(120.0),
-        ]);
+        ]));
     let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
     let expected = expected_bytes(&x, Scheme::Den, 25);
 
@@ -216,7 +224,7 @@ fn prefetching_adaptive_store_serves_bit_identically() {
         .with_shards(4)
         .with_prefetch(4)
         .with_placement(ShardPlacement::Adaptive)
-        .with_shard_mbps(vec![FAST_MBPS, FAST_MBPS, SLOW_MBPS, SLOW_MBPS]);
+        .with_fault_plan(two_tier_devices());
     let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
     let expected = expected_bytes(&x, Scheme::Toc, 25);
     for _ in 0..3 {

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use toc_data::serve::{BatchCache, JobServer, JobSpec, ServeConfig, TenantProvider};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
+use toc_data::testing::{DeviceProfile, FaultPlan};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec};
 use toc_ml::LossKind;
@@ -166,7 +167,7 @@ fn qos_low_share_yields_bandwidth() {
     let ds = generate_preset(DatasetPreset::CensusLike, 1200, 5);
     let config = StoreConfig::new(Scheme::Den, 100, 0)
         .with_shards(2)
-        .with_disk_mbps(25.0);
+        .with_fault_plan(FaultPlan::device(vec![DeviceProfile::stable(25.0)]));
     let store = Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap());
     let server = JobServer::new(
         Arc::clone(&store),

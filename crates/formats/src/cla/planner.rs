@@ -151,7 +151,7 @@ fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize
 
 /// Estimate the number of distinct values in a whole matrix by sampling
 /// up to `sample_rows` evenly spaced rows and scaling the sample's
-/// distinct/singleton counts with [`estimate_distinct`] (the same
+/// distinct/singleton counts with `estimate_distinct` (the same
 /// Good–Turing rule the CLA planner uses per column group). This is the
 /// `distinct` statistic recorded in container zone maps.
 pub fn estimate_matrix_distinct(m: &DenseMatrix, sample_rows: usize) -> usize {

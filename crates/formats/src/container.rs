@@ -564,12 +564,15 @@ impl Container {
     /// computing each segment's zone map as it goes (the distinct
     /// estimate samples `opts.cla.sample_rows` rows — the CLA planner's
     /// sampler knob).
+    ///
+    /// Panics when `segment_rows` is 0: no segment could hold a row.
     pub fn encode_with(
         m: &DenseMatrix,
         scheme: Scheme,
         segment_rows: usize,
         opts: &EncodeOptions,
     ) -> Self {
+        assert!(segment_rows >= 1, "segment_rows must be >= 1");
         let mut batches = Vec::new();
         let mut zones = Vec::new();
         let mut start = 0;
@@ -830,7 +833,7 @@ impl Container {
 
 /// Streaming v2 writer: segments are appended one at a time to any
 /// [`std::io::Write`] sink, and only per-segment *metadata* (one
-/// [`LayoutNode`] leaf, [`LEAF_WIRE_LEN`]-ish bytes) is retained in
+/// [`LayoutNode`] leaf, `LEAF_WIRE_LEN`-ish bytes) is retained in
 /// memory until [`ContainerStreamWriter::finish`] emits the layout-tree
 /// footer and postscript. A finished stream is a valid seekable v2
 /// `.tocz`, byte-identical to `Container::to_bytes` over the same batch
@@ -885,7 +888,7 @@ impl<W: std::io::Write> ContainerStreamWriter<W> {
     /// Snapshot everything [`ContainerStreamWriter::finish`] will need —
     /// column count, byte/row watermarks and the per-segment leaf
     /// metadata — as a [`WriterState`] for a checkpoint sidecar. Cheap:
-    /// one leaf is ~[`LEAF_WIRE_LEN`] bytes.
+    /// one leaf is ~`LEAF_WIRE_LEN` bytes.
     pub fn state(&self) -> WriterState {
         WriterState {
             cols: self.cols.map(|c| c as u64),
@@ -1184,6 +1187,12 @@ mod tests {
             assert_eq!(v1.decode().unwrap(), m, "{} v1", scheme.name());
             assert!(v1.zones().is_none());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_rows must be >= 1")]
+    fn zero_segment_rows_is_rejected() {
+        Container::encode_with(&sample(), Scheme::Den, 0, &EncodeOptions::default());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! threads compute gradients for distinct mini-batches against the same
 //! snapshot of the weights; the averaged update is then applied once.
 //!
-//! Each worker owns a persistent [`WorkerSlot`]: a weight replica, an
+//! Each worker owns a persistent `WorkerSlot`: a weight replica, an
 //! [`ExecWorkspace`] and delta buffers, all allocated on the worker's
 //! first round and reused every round thereafter — no per-round cloning
 //! of the model and zero steady-state heap allocation in the gradient
