@@ -83,25 +83,21 @@ USAGE:
   toc bench <in.csv> [--batch-rows <n>]
   toc train <in.csv|in.tocz> [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>] [--scheme <s>] [--batch-rows <n>]
             [--budget <bytes>] [--shards <n>] [--prefetch <k>] [--mbps <f>]
-            [--placement <stripe|pack|adaptive>] [--adaptive]
             [--follow] [--window <batches>] [--max-pending <chunks>]
             [--poll-ms <n>] [--idle-ms <n>]
             (the last CSV column is the ±1 label; --budget trains over the
              out-of-core sharded spill store: batches beyond the budget
-             spill to --shards files and are read back through --prefetch
-             background workers that each read and decode one upcoming
-             batch. --mbps <f> sets a simulated device bandwidth of <f>
-             MB/s per shard, standing in for the paper's cloud block
-             storage: every spilled read also sleeps as that device would,
-             and the \"io:\" line reports the delay as simulated. Without
-             --mbps, spill IO is real and never sleeps.
-             --placement pack lays consecutive spilled batches out
-             file-adjacent, and adaptive (shorthand: --adaptive) profiles
-             per-shard bandwidth at runtime and re-packs hot batches onto
-             the fastest shards between epochs. Prints machine-parseable
-             \"io-read:\" (read-latency percentiles) and \"placement:\"
-             lines. A .tocz input trains straight off the container: with
-             --budget the sharded store streams v2 segments through the
+             stripe round-robin over --shards files and are read back
+             through --prefetch background workers that each read and
+             decode one upcoming batch. --mbps <f> sets a simulated device
+             bandwidth of <f> MB/s per shard, standing in for the paper's
+             cloud block storage: every spilled read also sleeps as that
+             device would, and the \"io:\" line reports the delay as
+             simulated. Without --mbps, spill IO is real and never sleeps.
+             Prints machine-parseable \"io-read:\" (read-latency
+             percentiles) and \"shards:\" (per-shard EWMA bandwidth and
+             bytes) lines. A .tocz input trains straight off the container:
+             with --budget the sharded store streams v2 segments through the
              seekable reader, one decoded segment in memory at a time.
              --follow (requires --budget) tails the CSV *file itself* —
              even while another process is still appending to it —
@@ -122,7 +118,6 @@ USAGE:
             [--cache-budget <bytes>] [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>]
             [--seed <n>] [--shares <s0,s1,...>] [--scheme <s>] [--batch-rows <n>]
             [--budget <bytes>] [--shards <n>] [--mbps <f>]
-            [--placement <stripe|pack|adaptive>] [--adaptive]
             (multi-tenant mode: run --jobs concurrent training jobs over ONE
              shared spill store (--budget defaults to 0: everything spills)
              and one shared compressed-batch cache of --cache-budget bytes
@@ -148,7 +143,7 @@ USAGE:
 
 /// Options that are plain flags (no value follows them). Everything else
 /// starting with `--` consumes the next token as its value.
-const BOOL_FLAGS: &[&str] = &["--adaptive", "--follow", "--resume"];
+const BOOL_FLAGS: &[&str] = &["--follow", "--resume"];
 
 /// Fetch `--name value` from an argument list.
 fn opt(args: &[String], name: &str) -> Option<String> {
@@ -221,21 +216,6 @@ fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
     Ok(EncodeOptions { cla })
 }
 
-/// `--placement <p>`, or `--adaptive` as its shorthand (default stripe).
-fn parse_placement(args: &[String]) -> Result<toc_data::ShardPlacement, String> {
-    let placement = match opt(args, "--placement") {
-        Some(p) => p.parse()?,
-        None => toc_data::ShardPlacement::Stripe,
-    };
-    if !has_flag(args, "--adaptive") {
-        return Ok(placement);
-    }
-    if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
-        return Err("--adaptive conflicts with the explicit --placement".into());
-    }
-    Ok(toc_data::ShardPlacement::Adaptive)
-}
-
 /// The out-of-core store options shared by `train` (built and `--follow`)
 /// and `serve`; a command that does not accept one of them has already
 /// rejected it, so it takes its default here. `--mbps` is the one place a
@@ -252,7 +232,6 @@ fn store_config(
     let mut config = StoreConfig::new(scheme, batch_rows, budget)
         .with_shards(num_opt(args, "--shards")?.unwrap_or(0))
         .with_prefetch(num_opt(args, "--prefetch")?.unwrap_or(0))
-        .with_placement(parse_placement(args)?)
         .with_encode_options(encode)
         .with_max_pending(num_opt(args, "--max-pending")?.unwrap_or(0));
     if let Some(mbps) = num_opt::<f64>(args, "--mbps")? {
@@ -712,8 +691,6 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             "--shards",
             "--prefetch",
             "--mbps",
-            "--placement",
-            "--adaptive",
             "--follow",
             "--window",
             "--max-pending",
@@ -751,16 +728,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 
     let budget: Option<usize> = num_opt(args, "--budget")?;
     let config = store_config(args, scheme, batch_rows, budget.unwrap_or(0), encode_opts)?;
-    if budget.is_none()
-        && (config.shards > 0
-            || config.prefetch > 0
-            || config.fault.is_some()
-            || opt(args, "--placement").is_some()
-            || has_flag(args, "--adaptive"))
-    {
+    if budget.is_none() && (config.shards > 0 || config.prefetch > 0 || config.fault.is_some()) {
         return Err(
-            "--shards/--prefetch/--mbps/--placement/--adaptive configure the out-of-core \
-             store; pass --budget <bytes> to enable it"
+            "--shards/--prefetch/--mbps configure the out-of-core store; pass --budget <bytes> \
+             to enable it"
                 .into(),
         );
     }
@@ -870,14 +841,12 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         // Machine-parseable read stats (the CLI smoke tests parse this
         // line): key=value pairs only, one per field.
         println!(
-            "io-read: placement={} lat-p50-us={} lat-p99-us={}",
-            config.placement,
+            "io-read: lat-p50-us={} lat-p99-us={}",
             s.latency_percentile_us(50),
             s.latency_percentile_us(99),
         );
-        // Machine-parseable placement stats (the CLI smoke tests parse
-        // this line too): key=value pairs, list values joined with '/'.
-        let p = store.placement_report();
+        // Machine-parseable shard stats (the CLI smoke tests parse this
+        // line too): key=value pairs, list values joined with '/'.
         let join = |it: Vec<String>| {
             if it.is_empty() {
                 "-".to_string()
@@ -885,26 +854,20 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                 it.join("/")
             }
         };
+        let ewma = store
+            .shard_ewma_mbps()
+            .into_iter()
+            .map(|m| format!("{m:.1}"));
+        let kb = store
+            .shard_bytes()
+            .into_iter()
+            .map(|b| (b / 1024).to_string());
         println!(
-            "placement: policy={} decode-workers={} rebalances={} migrated={} migrated-kb={} \
-             ewma-mbps={} shard-kb={}",
-            p.policy,
-            p.decode_workers,
-            p.rebalances,
-            p.migrated_batches,
-            p.migrated_bytes / 1024,
-            join(
-                p.shard_ewma_mbps
-                    .iter()
-                    .map(|m| format!("{m:.1}"))
-                    .collect()
-            ),
-            join(
-                p.shard_bytes
-                    .iter()
-                    .map(|b| (b / 1024).to_string())
-                    .collect()
-            ),
+            "shards: n={} decode-workers={} ewma-mbps={} shard-kb={}",
+            store.num_shards(),
+            store.decode_workers(),
+            join(ewma.collect()),
+            join(kb.collect()),
         );
         let bytes = store.total_bytes();
         (report, encode_time, bytes)
@@ -1153,8 +1116,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--budget",
             "--shards",
             "--mbps",
-            "--placement",
-            "--adaptive",
             "--cla-planner",
             "--cla-sample",
         ],
@@ -1355,19 +1316,19 @@ mod tests {
 
     #[test]
     fn boolean_flags_do_not_swallow_positionals() {
-        // `--adaptive` and `--follow` take no value: the token after them
+        // `--resume` and `--follow` take no value: the token after them
         // is still positional.
-        let args: Vec<String> = ["--adaptive", "a.csv", "--follow", "--epochs", "3"]
+        let args: Vec<String> = ["--resume", "a.csv", "--follow", "--epochs", "3"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert!(has_flag(&args, "--adaptive"));
+        assert!(has_flag(&args, "--resume"));
         assert!(has_flag(&args, "--follow"));
-        let accepted = ["--adaptive", "--follow", "--epochs"];
+        let accepted = ["--resume", "--follow", "--epochs"];
         assert_eq!(positional(&args, &accepted).unwrap(), vec!["a.csv"]);
         assert_eq!(opt(&args, "--epochs").as_deref(), Some("3"));
         let none: Vec<String> = vec!["a.csv".into()];
-        assert!(!has_flag(&none, "--adaptive"));
+        assert!(!has_flag(&none, "--resume"));
     }
 
     #[test]
@@ -1387,8 +1348,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_flag_combinations() {
-        let csv = crate::testutil::TempPath::new("cli-adaptive", "csv");
+    fn out_of_core_flag_combinations() {
+        let csv = crate::testutil::TempPath::new("cli-out-of-core", "csv");
         cmd_gen(&[
             "--preset".into(),
             "census".into(),
@@ -1410,14 +1371,16 @@ mod tests {
             args.extend(extra.iter().map(|s| s.to_string()));
             args
         };
-        // --adaptive shorthand == --placement adaptive; both together OK.
-        cmd_train(&base(&["--adaptive"])).unwrap();
-        cmd_train(&base(&["--placement", "adaptive", "--adaptive"])).unwrap();
-        // Conflicting explicit placement rejected.
-        assert!(cmd_train(&base(&["--placement", "pack", "--adaptive"])).is_err());
-        cmd_train(&base(&["--prefetch", "2", "--adaptive"])).unwrap();
+        cmd_train(&base(&[])).unwrap();
+        cmd_train(&base(&["--prefetch", "2"])).unwrap();
+        // Every store stripes: the retired placement options are unknown
+        // options, named in the error.
+        for retired in [&["--placement", "pack"][..], &["--adaptive"]] {
+            let err = cmd_train(&base(retired)).unwrap_err();
+            assert!(err.contains(retired[0]), "{err}");
+        }
         // Out-of-core flags still demand --budget.
-        assert!(cmd_train(&[csv.arg(), "--adaptive".into()]).is_err());
+        assert!(cmd_train(&[csv.arg(), "--shards".into(), "2".into()]).is_err());
     }
 
     #[test]

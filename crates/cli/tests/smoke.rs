@@ -100,124 +100,84 @@ fn compress_roundtrip_with_planner_flags() {
     }
 }
 
+/// An out-of-core `toc train` prints the machine-parseable `io-read:`
+/// latency line and the `shards:` line (shard count, prefetch workers,
+/// per-shard EWMA bandwidth and bytes). Spilled batches stripe
+/// round-robin, so both shards hold bytes and both are read.
 #[test]
-fn train_prints_parseable_io_read_stats() {
+fn train_prints_parseable_io_read_and_shard_stats() {
     let csv = gen_csv(400);
-    for placement in ["stripe", "pack"] {
-        let out = toc(&[
-            "train",
-            csv.to_str().unwrap(),
-            "--epochs",
-            "2",
-            "--budget",
-            "0",
-            "--shards",
-            "2",
-            "--prefetch",
-            "3",
-            "--mbps",
-            "2000",
-            "--placement",
-            placement,
-            "--cla-planner",
-            "greedy",
-        ]);
-        let stdout = assert_ok(&out, &format!("toc train --placement {placement}"));
-        assert!(
-            stdout.contains("spilled batches across 2 shards"),
-            "missing store line: {stdout}"
-        );
-        // The human io line and the machine io-read line both parse.
-        let io_line = stdout
-            .lines()
-            .find(|l| l.starts_with("io:"))
-            .unwrap_or_else(|| panic!("no io: line in {stdout}"));
-        let reads: u64 = io_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|t| t.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable reads in {io_line:?}"));
-        assert!(reads >= 1, "no spill reads counted: {io_line}");
+    let out = toc(&[
+        "train",
+        csv.to_str().unwrap(),
+        "--epochs",
+        "2",
+        "--budget",
+        "0",
+        "--shards",
+        "2",
+        "--prefetch",
+        "3",
+        "--mbps",
+        "2000",
+        "--cla-planner",
+        "greedy",
+    ]);
+    let stdout = assert_ok(&out, "toc train --budget 0 --shards 2");
+    assert!(
+        stdout.contains("spilled batches across 2 shards"),
+        "missing store line: {stdout}"
+    );
+    // The human io line and the machine io-read line both parse.
+    let io_line = stdout
+        .lines()
+        .find(|l| l.starts_with("io:"))
+        .unwrap_or_else(|| panic!("no io: line in {stdout}"));
+    let reads: u64 = io_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("unparseable reads in {io_line:?}"));
+    assert!(reads >= 1, "no spill reads counted: {io_line}");
 
-        let read_line = stdout
-            .lines()
-            .find(|l| l.starts_with("io-read:"))
-            .unwrap_or_else(|| panic!("no io-read: line in {stdout}"));
-        let kv = parse_kv(read_line);
-        assert_eq!(kv["placement"], placement);
-        let p50: u64 = kv["lat-p50-us"].parse().expect("p50 parses");
-        let p99: u64 = kv["lat-p99-us"].parse().expect("p99 parses");
-        assert!(p50 <= p99, "{read_line}");
-        // Every read pays the simulated 2000 MB/s device time, so the
-        // histogram cannot be empty or all sub-microsecond.
-        assert!(p99 >= 1, "{read_line}");
-    }
-    std::fs::remove_file(csv).ok();
-}
+    let read_line = stdout
+        .lines()
+        .find(|l| l.starts_with("io-read:"))
+        .unwrap_or_else(|| panic!("no io-read: line in {stdout}"));
+    let kv = parse_kv(read_line);
+    assert!(!kv.contains_key("placement"), "{read_line}");
+    let p50: u64 = kv["lat-p50-us"].parse().expect("p50 parses");
+    let p99: u64 = kv["lat-p99-us"].parse().expect("p99 parses");
+    assert!(p50 <= p99, "{read_line}");
+    // Every read pays the simulated 2000 MB/s device time, so the
+    // histogram cannot be empty or all sub-microsecond.
+    assert!(p99 >= 1, "{read_line}");
 
-#[test]
-fn adaptive_training_prints_parseable_placement_stats() {
-    let csv = gen_csv(400);
-    // Legs: the --adaptive shorthand, the explicit --placement adaptive,
-    // and a non-adaptive run (placement line must still appear).
-    let legs: [(&str, Vec<&str>); 3] = [
-        ("adaptive", vec!["--adaptive"]),
-        ("adaptive-explicit", vec!["--placement", "adaptive"]),
-        ("pack", vec!["--placement", "pack"]),
-    ];
-    for (leg, extra) in legs {
-        let mut args = vec![
-            "train",
-            csv.to_str().unwrap(),
-            "--epochs",
-            "3",
-            "--budget",
-            "0",
-            "--shards",
-            "2",
-            "--prefetch",
-            "3",
-            "--mbps",
-            "2000",
-        ];
-        args.extend(extra.iter());
-        let stdout = assert_ok(&toc(&args), &format!("toc train [{leg}]"));
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("placement:"))
-            .unwrap_or_else(|| panic!("[{leg}] no placement: line in {stdout}"));
-        let kv = parse_kv(line);
-        let adaptive = leg.starts_with("adaptive");
-        assert_eq!(kv["policy"], if adaptive { "adaptive" } else { "pack" });
-        assert!(!kv.contains_key("pin") && !kv.contains_key("io-threads"));
-        let decode_workers: u64 = kv["decode-workers"].parse().expect("decode-workers parses");
-        assert_eq!(decode_workers, 3, "one worker per prefetch slot: {line}");
-        let rebalances: u64 = kv["rebalances"].parse().expect("rebalances parses");
-        let migrated: u64 = kv["migrated"].parse().expect("migrated parses");
-        let _migrated_kb: u64 = kv["migrated-kb"].parse().expect("migrated-kb parses");
-        if adaptive {
-            // 3 epochs over a spilled store with uniform --mbps: every
-            // boundary has profiler signal, so passes must have run (the
-            // flat profile makes actual migration legitimately rare).
-            assert!(rebalances >= 1, "{line}");
-        } else {
-            assert_eq!(rebalances, 0, "{line}");
-            assert_eq!(migrated, 0, "{line}");
-        }
-        // Slash-separated per-shard lists parse as floats/ints and cover
-        // both shards.
-        let ewma: Vec<f64> = kv["ewma-mbps"]
-            .split('/')
-            .map(|t| t.parse().expect("ewma parses"))
-            .collect();
-        assert_eq!(ewma.len(), 2, "{line}");
-        assert!(ewma.iter().all(|&m| m > 0.0), "unobserved shard: {line}");
-        let shard_kb: Vec<u64> = kv["shard-kb"]
-            .split('/')
-            .map(|t| t.parse().expect("shard-kb parses"))
-            .collect();
-        assert_eq!(shard_kb.len(), 2, "{line}");
-    }
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("shards:"))
+        .unwrap_or_else(|| panic!("no shards: line in {stdout}"));
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("placement:")),
+        "{stdout}"
+    );
+    let kv = parse_kv(line);
+    assert_eq!(kv["n"], "2", "{line}");
+    let decode_workers: u64 = kv["decode-workers"].parse().expect("decode-workers parses");
+    assert_eq!(decode_workers, 3, "one worker per prefetch slot: {line}");
+    // Slash-separated per-shard lists parse as floats/ints and cover
+    // both shards.
+    let ewma: Vec<f64> = kv["ewma-mbps"]
+        .split('/')
+        .map(|t| t.parse().expect("ewma parses"))
+        .collect();
+    assert_eq!(ewma.len(), 2, "{line}");
+    assert!(ewma.iter().all(|&m| m > 0.0), "unobserved shard: {line}");
+    let shard_kb: Vec<u64> = kv["shard-kb"]
+        .split('/')
+        .map(|t| t.parse().expect("shard-kb parses"))
+        .collect();
+    assert_eq!(shard_kb.len(), 2, "{line}");
     std::fs::remove_file(csv).ok();
 }
 
@@ -360,22 +320,10 @@ fn seekable_v2_containers_project_inspect_and_train() {
 #[test]
 fn flag_conflicts_exit_nonzero() {
     let csv = gen_csv(200);
-    assert_fails(
-        &toc(&[
-            "train",
-            csv.to_str().unwrap(),
-            "--budget",
-            "0",
-            "--adaptive",
-            "--placement",
-            "stripe",
-        ]),
-        "adaptive vs placement conflict",
-    );
     // Store flags without --budget.
     assert_fails(
-        &toc(&["train", csv.to_str().unwrap(), "--adaptive"]),
-        "--adaptive without --budget",
+        &toc(&["train", csv.to_str().unwrap(), "--shards", "2"]),
+        "--shards without --budget",
     );
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--prefetch", "2"]),
@@ -385,8 +333,8 @@ fn flag_conflicts_exit_nonzero() {
 }
 
 /// Every command accepts only its own options: a misspelled or retired
-/// one (the async IO-engine and pinning flags are gone) fails with an
-/// error that names it instead of being silently ignored.
+/// one (the async IO-engine, pinning and placement flags are gone) fails
+/// with an error that names it instead of being silently ignored.
 #[test]
 fn unknown_options_exit_nonzero_naming_the_option() {
     let csv = gen_csv(120);
@@ -420,6 +368,17 @@ fn unknown_options_exit_nonzero_naming_the_option() {
     for retired in ["--pin", "--pin-map", "--io-threads", "--decode-workers"] {
         fails_naming(&["train", path, "--budget", "0", retired, "1"], retired);
     }
+    // Every store stripes: placement is no longer an option.
+    fails_naming(&["train", path, "--placement", "pack"], "--placement");
+    fails_naming(
+        &["train", path, "--budget", "0", "--placement", "pack"],
+        "--placement",
+    );
+    fails_naming(
+        &["train", path, "--budget", "0", "--adaptive"],
+        "--adaptive",
+    );
+    fails_naming(&["serve", path, "--adaptive"], "--adaptive");
     fails_naming(&["serve", path, "--io", "pool"], "--io");
     fails_naming(&["inspect", path, "--verbose"], "--verbose");
     std::fs::remove_file(csv).ok();
@@ -434,10 +393,10 @@ fn out_of_core_flags_reject_bad_values() {
             csv.to_str().unwrap(),
             "--budget",
             "0",
-            "--placement",
-            "scatter",
+            "--prefetch",
+            "x",
         ]),
-        "unknown placement",
+        "unparseable prefetch",
     );
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--budget", "x"]),

@@ -1,12 +1,12 @@
 //! The spill read path.
 //!
 //! Every spilled batch the store reads — prefetch workers, visitor
-//! misses, tenant cache misses, adaptive migrations — goes through one
-//! function, `IoShards::read_range`: a positional `pread` of the batch's
-//! extent in its shard file, then one accounting step that bumps the
-//! [`IoStats`] counters, records the read's latency and feeds the
-//! per-shard [`BandwidthProfile`] the adaptive placement planner ranks
-//! shards by. Nothing on this path sleeps unless the store carries a
+//! misses, tenant cache misses — goes through one function,
+//! `IoShards::read_range`: a positional `pread` of the batch's extent in
+//! its shard file, then one accounting step that bumps the [`IoStats`]
+//! counters, records the read's latency and feeds the per-shard
+//! bandwidth EWMA that the tenant cache's heat and QoS throttle read.
+//! Nothing on this path sleeps unless the store carries a
 //! [`crate::testing::FaultPlan`]: its faults then wrap the read, and its
 //! simulated devices are charged between the `pread` and the latency
 //! observation, so the profiler sees the simulated delay.
@@ -89,8 +89,7 @@ impl SpillFile {
         }
     }
 
-    /// Write all of `buf` at `offset` (the adaptive-placement migration
-    /// path appends to shard files through this).
+    /// Write all of `buf` at `offset` (the spill append path).
     pub(crate) fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
         #[cfg(unix)]
         {
@@ -121,17 +120,17 @@ impl SpillFile {
 
 /// EWMA smoothing factor for [`BandwidthProfile`]: heavy enough that a
 /// device going slow mid-run shows up within a handful of reads, light
-/// enough that one queueing hiccup doesn't flip the placement plan.
+/// enough that one queueing hiccup doesn't swing the estimate.
 const PROFILE_ALPHA: f64 = 0.25;
 
 /// Runtime per-shard bandwidth estimates: every physical read charges its
 /// observed throughput (bytes over wall time, *including* the simulated
 /// bandwidth-clock delay and any queueing behind other readers of the
-/// same device) into a per-shard EWMA. This is the measured signal the
-/// adaptive placement planner packs hot batches by — storage tiers are
-/// profiled, not assumed.
+/// same device) into a per-shard EWMA. The tenant cache weighs a batch's
+/// heat by it and the QoS throttle apportions it ([`crate::serve`]);
+/// the CLI prints it on the `shards:` line.
 #[derive(Debug, Default)]
-pub struct BandwidthProfile {
+pub(crate) struct BandwidthProfile {
     /// Per-shard `(ewma bytes/sec as f64 bits, sample count)`.
     cells: Vec<(AtomicU64, AtomicU64)>,
 }
@@ -173,7 +172,7 @@ impl BandwidthProfile {
 
     /// Estimated bandwidth of `shard` in MB/s; `None` until the shard has
     /// been observed at least once.
-    pub fn estimate_mbps(&self, shard: usize) -> Option<f64> {
+    pub(crate) fn estimate_mbps(&self, shard: usize) -> Option<f64> {
         let (ewma, samples) = self.cells.get(shard)?;
         if samples.load(Ordering::Relaxed) == 0 {
             return None;
@@ -181,15 +180,8 @@ impl BandwidthProfile {
         Some(f64::from_bits(ewma.load(Ordering::Relaxed)) / 1e6)
     }
 
-    /// Number of observed reads for `shard`.
-    pub fn samples(&self, shard: usize) -> u64 {
-        self.cells
-            .get(shard)
-            .map_or(0, |(_, s)| s.load(Ordering::Relaxed))
-    }
-
     /// Per-shard estimates in MB/s (`0.0` for never-observed shards).
-    pub fn snapshot_mbps(&self) -> Vec<f64> {
+    pub(crate) fn snapshot_mbps(&self) -> Vec<f64> {
         (0..self.cells.len())
             .map(|s| self.estimate_mbps(s).unwrap_or(0.0))
             .collect()
@@ -763,7 +755,6 @@ mod tests {
     fn bandwidth_profile_tracks_observed_throughput() {
         let p = BandwidthProfile::new(2);
         assert_eq!(p.estimate_mbps(0), None);
-        assert_eq!(p.samples(1), 0);
         // 1 MB in 10 ms = 100 MB/s; the first sample seeds the EWMA.
         p.observe(0, 1_000_000, Duration::from_millis(10));
         let e = p.estimate_mbps(0).unwrap();
@@ -777,7 +768,7 @@ mod tests {
         assert_eq!(p.snapshot_mbps()[1], 0.0);
         // Out-of-range shards are ignored, not panics.
         p.observe(9, 100, Duration::from_micros(1));
-        assert_eq!(p.samples(0), 2);
+        assert_eq!(p.estimate_mbps(0), Some(e2));
     }
 
     /// Every spill read — plain or through the fault gauntlet — delivers

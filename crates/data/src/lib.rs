@@ -7,9 +7,10 @@
 //! with real disk spill that reproduce the in-memory/out-of-core regimes
 //! of the end-to-end experiments (Tables 6–7, Figures 9–11): the sharded,
 //! prefetching [`ShardedSpillStore`], whose one segment table holds
-//! built and streamed batches alike. [`io`] is the spill read path
-//! underneath — positional reads, the bandwidth profiler and the IO
-//! counters — and [`testing`] holds the simulated device model and the
+//! built and streamed batches alike and whose spilled batches stripe
+//! round-robin across its shard files. [`io`] is the spill read path
+//! underneath — positional reads, the per-shard bandwidth EWMAs and the
+//! IO counters — and [`testing`] holds the simulated device model and the
 //! read and write faults that tests, benches and the CLI's `--mbps` flag
 //! plug into it.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
@@ -30,13 +31,9 @@ pub use ingest::{
     CsvIngestOutcome, EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,
 };
 
-pub use io::{
-    BandwidthProfile, IoSnapshot, IoStats, LatencyHistogram, SeekableContainer, LATENCY_BUCKETS,
-};
+pub use io::{IoSnapshot, IoStats, LatencyHistogram, SeekableContainer, LATENCY_BUCKETS};
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
-pub use store::{
-    place_spilled, plan_adaptive, PlacementReport, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+pub use store::{ShardedSpillStore, StoreConfig};
 pub use synth::{
     drifting_matrix, generate, generate_preset, Dataset, DatasetPreset, SynthConfig, TaskKind,
 };

@@ -10,10 +10,10 @@
 //! with heat-based eviction.
 //!
 //! Heat reuses the signals the store already maintains: the per-batch
-//! `visits` counters that drive adaptive placement, weighted by the
-//! measured cost to re-read the batch from its current shard (the
-//! per-shard bandwidth EWMAs). A batch every tenant keeps visiting on a
-//! slow shard is the most valuable thing to keep resident.
+//! `visits` counters the tenants bump, weighted by the measured cost to
+//! re-read the batch from its shard (the per-shard bandwidth EWMAs). A
+//! batch every tenant keeps visiting on a slow shard is the most
+//! valuable thing to keep resident.
 //!
 //! Caching encoded bytes (not decoded batches) keeps the pool dense —
 //! that is the point of tuple-oriented compression — and makes
@@ -320,7 +320,7 @@ impl TenantProvider {
     }
 
     /// Heat of a batch: shared visit count weighted by the measured cost
-    /// (seconds) to re-read it from its current shard. Falls back to a
+    /// (seconds) to re-read it from its shard. Falls back to a
     /// nominal 100 MB/s before the profiler has a sample for the shard.
     fn heat(&self, visits: u64, shard: usize, len: usize) -> f64 {
         let bps = self.store.shard_ewma_bps(shard).unwrap_or(1e8);
@@ -397,13 +397,6 @@ impl BatchProvider for TenantProvider {
         };
         f(&b, &seg.labels);
         self.store.mark_consumed(idx);
-    }
-
-    fn end_epoch(&self) {
-        // Adaptive placement keeps rebalancing under multi-tenant load;
-        // migrations repoint locations but never change bytes, so resident
-        // cache entries stay valid.
-        self.store.end_epoch();
     }
 }
 

@@ -10,10 +10,11 @@
 //! [`ShardedSpillStore`] implements the regime. Every batch is one entry
 //! of a single append-only segment table: resident or on disk, built up
 //! front ([`ShardedSpillStore::build`]) or appended by streaming ingest
-//! ([`ShardedSpillStore::append_sealed`]). Spilled batches are laid out
-//! across N shard files ([`StoreConfig::with_shards`]; one shard is the
-//! classic single spill file) and read with positional IO ([`crate::io`]),
-//! so concurrent visitors never serialize on a shared file cursor. An
+//! ([`ShardedSpillStore::append_sealed`]). Spilled batches stripe
+//! round-robin across N shard files ([`StoreConfig::with_shards`]; one
+//! shard is the classic single spill file), and an extent never moves
+//! once written. Reads are positional IO ([`crate::io`]), so concurrent
+//! visitors never serialize on a shared file cursor. An
 //! optional prefetch pipeline ([`StoreConfig::with_prefetch`]) keeps
 //! upcoming build-time batches decoded while the trainer computes on the
 //! current one. The IO is real and never sleeps: simulated bandwidth
@@ -34,63 +35,6 @@ use toc_ml::mgd::BatchProvider;
 use crate::io::{lock, rlock, wait, wlock, IoShards, SpillFile};
 pub use crate::io::{IoSnapshot, IoStats};
 
-/// How spilled batches are laid out across the shard files.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardPlacement {
-    /// Round-robin striping: batch `i` lands on shard `i % N`. Maximizes
-    /// per-visit device parallelism; consecutive visit-order batches are
-    /// `N` apart in each shard file.
-    #[default]
-    Stripe,
-    /// Compression-aware packing: consecutive spilled batches fill one
-    /// shard until a byte-sized run target, then move to the next shard
-    /// (runs round-robin over shards). Small, highly-compressed batches
-    /// cluster adjacently in one file, so a sweep reads each shard
-    /// sequentially. The adaptive planner's starting layout, and the
-    /// baseline its acceptance gate measures against.
-    Pack,
-    /// Bandwidth-profiled adaptive placement: batches start in the `Pack`
-    /// layout, every physical read charges its observed throughput into
-    /// the per-shard EWMA ([`crate::io::BandwidthProfile`]), and at each
-    /// epoch boundary ([`BatchProvider::end_epoch`], or
-    /// [`ShardedSpillStore::rebalance`] directly) the planner re-packs
-    /// hot (frequently re-visited) batches onto the shards measured
-    /// fastest, migrating by append-and-repoint so in-flight reads of the
-    /// old location stay valid. A slow or degrading device sheds its
-    /// batches instead of serializing every epoch.
-    Adaptive,
-}
-
-impl ShardPlacement {
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardPlacement::Stripe => "stripe",
-            ShardPlacement::Pack => "pack",
-            ShardPlacement::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardPlacement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ShardPlacement {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "stripe" => Ok(ShardPlacement::Stripe),
-            "pack" => Ok(ShardPlacement::Pack),
-            "adaptive" => Ok(ShardPlacement::Adaptive),
-            other => Err(format!(
-                "unknown placement {other:?} (stripe|pack|adaptive)"
-            )),
-        }
-    }
-}
-
 /// Store configuration.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
@@ -110,8 +54,6 @@ pub struct StoreConfig {
     /// visitors, and how many workers (up to 8) read and decode them.
     /// `0` disables prefetch.
     pub prefetch: usize,
-    /// Spilled-batch layout across shard files.
-    pub placement: ShardPlacement,
     /// Fault-injection plan (test support; see [`crate::testing`]): when
     /// set, every spill read meets its read faults (latency, chunked
     /// short reads, `EINTR`-style retries), every streaming append its
@@ -138,7 +80,6 @@ impl StoreConfig {
             spill_dir: None,
             shards: 0,
             prefetch: 0,
-            placement: ShardPlacement::Stripe,
             fault: None,
             encode: toc_formats::EncodeOptions::default(),
             max_pending: 0,
@@ -167,12 +108,6 @@ impl StoreConfig {
     /// Builder-style prefetch-depth override (`0` = no prefetch).
     pub fn with_prefetch(mut self, depth: usize) -> Self {
         self.prefetch = depth;
-        self
-    }
-
-    /// Builder-style shard-placement override.
-    pub fn with_placement(mut self, placement: ShardPlacement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -285,17 +220,16 @@ struct DiskLoc {
 /// Where a segment's encoded batch lives.
 enum Body {
     Memory(AnyBatch),
-    /// Spilled. The location sits behind a lock because adaptive
-    /// placement repoints it between epochs (the bytes never change).
-    Disk(RwLock<DiskLoc>),
+    /// Spilled; the extent never moves once written.
+    Disk(DiskLoc),
 }
 
 /// One batch of the store's segment table.
 pub(crate) struct Segment {
     body: Body,
     pub(crate) labels: Vec<f64>,
-    /// Visits of the spilled body — the hotness signal the adaptive
-    /// planner and the tenant cache rank batches by.
+    /// Tenant visits of the spilled body — the hotness signal the tenant
+    /// cache ranks batches by ([`crate::serve`]).
     visits: AtomicU64,
 }
 
@@ -310,13 +244,12 @@ impl Segment {
 
     fn disk_loc(&self) -> Option<DiskLoc> {
         match &self.body {
-            Body::Disk(loc) => Some(*rlock(loc)),
+            Body::Disk(loc) => Some(*loc),
             Body::Memory(_) => None,
         }
     }
 
-    /// Current `(shard, len)` of a spilled segment, `None` for a resident
-    /// one (the shard may change across adaptive rebalances).
+    /// `(shard, len)` of a spilled segment, `None` for a resident one.
     pub(crate) fn spill_extent(&self) -> Option<(usize, usize)> {
         self.disk_loc().map(|loc| (loc.shard, loc.len))
     }
@@ -325,18 +258,6 @@ impl Segment {
     pub(crate) fn record_visit(&self) -> u64 {
         self.visits.fetch_add(1, Ordering::Relaxed) + 1
     }
-}
-
-/// Placement counters for the adaptive planner (exposed through
-/// [`PlacementReport`]).
-#[derive(Default)]
-struct PlacementStats {
-    /// Rebalance passes that had enough profiler signal to plan.
-    rebalances: AtomicU64,
-    /// Batches migrated to a different shard.
-    migrated_batches: AtomicU64,
-    /// Bytes those migrations copied.
-    migrated_bytes: AtomicU64,
 }
 
 /// State shared between the store handle and the prefetch workers.
@@ -359,11 +280,9 @@ struct Inner {
     /// appended through [`ShardedSpillStore::append_sealed`].
     base: usize,
     shard_paths: Vec<PathBuf>,
-    /// Per-shard append cursors and the appended-byte total. Doubles as
-    /// the placement mutation lock: rebalance and appends hold it end to
-    /// end, so plans and cursor bumps never interleave — and `sealed`
-    /// only moves under it, so two racing appenders serialize instead of
-    /// interleaving indices.
+    /// Per-shard append cursors and the appended-byte total. `sealed`
+    /// only moves under this lock, so two racing appenders serialize
+    /// instead of interleaving indices.
     append: Mutex<AppendState>,
     /// Exclusive [`crate::StoreIngest`] registration: one structured
     /// ingest driver at a time (raw `append_sealed` calls stay legal and
@@ -379,7 +298,6 @@ struct Inner {
     consumed_cv: Condvar,
     /// High-water mark of `sealed - consumed` observed at append time.
     peak_pending: AtomicUsize,
-    placement_stats: PlacementStats,
     io: Arc<IoShards>,
 }
 
@@ -398,8 +316,8 @@ impl Drop for AppenderToken<'_> {
     }
 }
 
-/// One sealed segment recorded in a [`StoreCheckpoint`]: its current
-/// shard extent and its labels.
+/// One sealed segment recorded in a [`StoreCheckpoint`]: its shard
+/// extent and its labels.
 #[derive(Clone, Debug, PartialEq)]
 struct CheckpointEntry {
     shard: u32,
@@ -565,7 +483,6 @@ impl Inner {
             consumed: Mutex::new(0),
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
             io: Arc::new(IoShards::new(files, config.fault.clone())),
         }
     }
@@ -619,7 +536,7 @@ impl Inner {
             offset,
             len: bytes.len(),
         };
-        Ok(self.publish(Segment::new(Body::Disk(RwLock::new(loc)), labels)))
+        Ok(self.publish(Segment::new(Body::Disk(loc), labels)))
     }
 
     /// Push a complete segment onto the table and raise the watermark
@@ -788,10 +705,10 @@ impl Drop for Prefetcher {
 
 /// Sharded, concurrent out-of-core store: one segment table holds every
 /// batch, resident or spilled, built up front or appended while readers
-/// run. Spilled batches are laid out across N shard files
-/// ([`ShardPlacement`]; `with_shards(1)` is the single-spill-file store),
-/// the read path is lock-free positional IO, and an optional prefetch
-/// pipeline keeps upcoming batches decoded in the background. Implements
+/// run. Spilled batches stripe round-robin across N shard files
+/// (`with_shards(1)` is the single-spill-file store), the read path is
+/// lock-free positional IO, and an optional prefetch pipeline keeps
+/// upcoming batches decoded in the background. Implements
 /// [`BatchProvider`].
 ///
 /// Byte accounting is split by origin, and the two halves never overlap:
@@ -807,19 +724,13 @@ pub struct ShardedSpillStore {
     inner: Arc<Inner>,
     prefetcher: Option<Prefetcher>,
     owns_dir: Option<PathBuf>,
-    placement: ShardPlacement,
 }
-
-/// Pack placement: aim for this many contiguous runs per shard, so every
-/// shard still sees multiple visit-order runs (device parallelism) while
-/// each run keeps consecutive batches file-adjacent.
-const PACK_RUNS_PER_SHARD: usize = 4;
 
 /// Build-time staging shared by [`ShardedSpillStore::build`] and
 /// [`ShardedSpillStore::build_from_container`]: batches are encoded in
 /// order (shuffle-once semantics) and stay resident while the memory
-/// budget lasts; the rest are serialized for the spill, whose layout
-/// ([`place_spilled`]) needs every spilled size up front.
+/// budget lasts; the rest are serialized for the spill, whose shard count
+/// (one file per spilled batch at most) needs the spilled count up front.
 #[derive(Default)]
 struct Staging {
     /// Every batch in order; `None` marks a spilled one, whose bytes are
@@ -844,26 +755,24 @@ impl Staging {
     }
 
     /// Open the store and append every staged batch in order: resident
-    /// ones straight into the table, spilled ones through the append path
-    /// onto the shard [`place_spilled`] picked for them. One shard file
+    /// ones straight into the table, spilled ones through the append path,
+    /// the `i`-th spilled batch onto shard `i % n_shards`. One shard file
     /// per spilled batch at most, none when nothing spilled.
     fn finish(self, config: &StoreConfig, features: usize) -> std::io::Result<ShardedSpillStore> {
         let n_shards = config.resolved_shards().min(self.spill.len());
-        let sizes: Vec<usize> = self.spill.iter().map(Vec::len).collect();
-        let assignment = place_spilled(&sizes, n_shards.max(1), config.placement);
         let (files, owns_dir) = create_shards(config, n_shards)?;
         let mut inner = Inner::new(features, config, files, vec![0; n_shards]);
         {
             let mut append = lock(&inner.append);
-            let mut spill = self.spill.into_iter().zip(assignment);
+            let mut spill = self.spill.into_iter().enumerate();
             for (batch, labels) in self.batches {
                 match batch {
                     Some(b) => {
                         inner.publish(Segment::new(Body::Memory(b), labels));
                     }
                     None => {
-                        let (bytes, shard) = spill.next().expect("one spill entry per batch");
-                        inner.append_disk(&mut append, shard, &bytes, labels, false)?;
+                        let (i, bytes) = spill.next().expect("one spill entry per batch");
+                        inner.append_disk(&mut append, i % n_shards, &bytes, labels, false)?;
                     }
                 }
             }
@@ -946,9 +855,9 @@ impl ShardedSpillStore {
     /// files are created up front and every segment subsequently landed
     /// via [`ShardedSpillStore::append_sealed`] goes straight to disk, so
     /// ingest memory stays bounded by the encoder workspace no matter how
-    /// many rows arrive. Trainers, tenant readers and the adaptive
-    /// migrator may run concurrently from the first append: each segment
-    /// becomes visible atomically once sealed. The prefetch pipeline does
+    /// many rows arrive. Trainers and tenant readers may run concurrently
+    /// from the first append: each segment becomes visible atomically
+    /// once sealed. The prefetch pipeline does
     /// not cover appended segments — their reads take the same charged
     /// synchronous path plain visits use — and a fault plan contributes
     /// its `device_profiles` to the shard devices, its read faults to
@@ -976,18 +885,15 @@ impl ShardedSpillStore {
             inner,
             prefetcher,
             owns_dir,
-            placement: config.placement,
         }
     }
 
     /// Append one sealed (already encoded) segment and its labels to the
     /// live store; returns the index the new batch is visible at. Safe to
-    /// call while trainers, tenant readers and the adaptive migrator run:
-    /// the bytes land at the target shard's append cursor under the same
-    /// mutex rebalance holds end to end (cursor bumps never interleave
-    /// with migrations), and the batch only becomes visible —
-    /// `num_batches()` only grows — after the write completed. Appends
-    /// round-robin across the shard files.
+    /// call while trainers and tenant readers run: the bytes land at the
+    /// target shard's append cursor under the append mutex, and the batch
+    /// only becomes visible — `num_batches()` only grows — after the
+    /// write completed. Appends round-robin across the shard files.
     pub fn append_sealed(&self, bytes: &[u8], labels: Vec<f64>) -> std::io::Result<usize> {
         let inner = &self.inner;
         let n_shards = inner.shard_paths.len();
@@ -997,10 +903,10 @@ impl ShardedSpillStore {
              ShardedSpillStore::open_streaming"
         );
         // Backpressure *before* taking the append mutex: a blocked
-        // producer must never hold the lock rebalance and stats readers
-        // need. The wait is bounded by consumption, not time — the whole
-        // point is that ingestion stalls until a visitor drains a sealed
-        // segment.
+        // producer must never hold the lock other appenders and stats
+        // readers need. The wait is bounded by consumption, not time —
+        // the whole point is that ingestion stalls until a visitor drains
+        // a sealed segment.
         if inner.max_pending > 0 {
             let t0 = Instant::now();
             let mut consumed = lock(&inner.consumed);
@@ -1088,13 +994,11 @@ impl ShardedSpillStore {
     }
 
     /// Snapshot the streaming-append state for a checkpoint sidecar:
-    /// shard file paths and cursors plus every sealed segment's current
-    /// extent and labels (post-migration locations — a checkpoint taken
-    /// after a rebalance restores the rebalanced layout). Taken under
-    /// the append lock, so it can never capture a half-appended
-    /// segment. Panics on a store with build-time segments: those are
-    /// reproducible from their source and have no business in a crash
-    /// checkpoint.
+    /// shard file paths and cursors plus every sealed segment's extent
+    /// and labels. Taken under the append lock, so it can never capture a
+    /// half-appended segment. Panics on a store with build-time segments:
+    /// those are reproducible from their source and have no business in
+    /// a crash checkpoint.
     pub fn streaming_checkpoint(&self) -> StoreCheckpoint {
         let inner = &self.inner;
         assert!(
@@ -1144,7 +1048,8 @@ impl ShardedSpillStore {
         }
         for (i, e) in ckpt.entries.iter().enumerate() {
             let s = e.shard as usize;
-            if s >= n_shards || e.offset + e.len > ckpt.cursors[s] {
+            let end = e.offset.checked_add(e.len);
+            if s >= n_shards || end.is_none_or(|end| end > ckpt.cursors[s]) {
                 return Err(Error::new(
                     ErrorKind::InvalidData,
                     format!("checkpoint entry {i} extends past its shard cursor"),
@@ -1177,7 +1082,7 @@ impl ShardedSpillStore {
                 offset: e.offset,
                 len: e.len as usize,
             };
-            inner.publish(Segment::new(Body::Disk(RwLock::new(loc)), e.labels.clone()));
+            inner.publish(Segment::new(Body::Disk(loc), e.labels.clone()));
         }
         lock(&inner.append).bytes = ckpt.encoded_bytes();
         Ok(Self::start(inner, config, None))
@@ -1189,7 +1094,7 @@ impl ShardedSpillStore {
         for seg in &rlock(&self.inner.segments)[..self.inner.base] {
             let (slot, bytes) = match &seg.body {
                 Body::Memory(b) => (0, b.size_bytes()),
-                Body::Disk(loc) => (1, rlock(loc).len),
+                Body::Disk(loc) => (1, loc.len),
             };
             out[slot].0 += 1;
             out[slot].1 += bytes;
@@ -1213,18 +1118,12 @@ impl ShardedSpillStore {
         self.inner.shard_paths.len()
     }
 
-    /// Bytes of spilled batches currently assigned to each shard (follows
-    /// adaptive migrations; superseded copies left behind by
-    /// append-and-repoint are not counted).
+    /// Bytes of spilled batches in each shard file: its append cursor.
+    /// Extents never move, so the cursor is the sum of the extents the
+    /// shard's segments own and the file's length (short of a torn tail a
+    /// failed append left, which the next append overwrites).
     pub fn shard_bytes(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.inner.shard_paths.len()];
-        for loc in rlock(&self.inner.segments)
-            .iter()
-            .filter_map(|s| s.disk_loc())
-        {
-            out[loc.shard] += loc.len as u64;
-        }
-        out
+        lock(&self.inner.append).cursors.clone()
     }
 
     /// Bytes of build-time batches resident in memory.
@@ -1261,9 +1160,15 @@ impl ShardedSpillStore {
         !self.inner.io.clocks.is_empty()
     }
 
-    /// Whether the prefetch pipeline is active.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetcher.is_some()
+    /// Prefetch workers reading and decoding (0 when prefetch is off).
+    pub fn decode_workers(&self) -> usize {
+        self.prefetcher.as_ref().map_or(0, |p| p.workers.len())
+    }
+
+    /// Per-shard EWMA read bandwidth in MB/s, measured from every
+    /// physical spill read (`0.0` for a shard never read).
+    pub fn shard_ewma_mbps(&self) -> Vec<f64> {
+        self.inner.io.profile.snapshot_mbps()
     }
 
     // -- Crate-private seam for the multi-tenant layer ([`crate::serve`]).
@@ -1349,236 +1254,6 @@ impl ShardedSpillStore {
             return self.inner.read_disk_sync(loc);
         }
     }
-
-    /// Current placement state: policy, prefetch workers, rebalance and
-    /// migration counters, per-shard EWMA bandwidth estimates and the
-    /// bytes currently assigned to each shard.
-    pub fn placement_report(&self) -> PlacementReport {
-        let ps = &self.inner.placement_stats;
-        PlacementReport {
-            policy: self.placement,
-            decode_workers: self.prefetcher.as_ref().map_or(0, |p| p.workers.len()),
-            rebalances: ps.rebalances.load(Ordering::Relaxed),
-            migrated_batches: ps.migrated_batches.load(Ordering::Relaxed),
-            migrated_bytes: ps.migrated_bytes.load(Ordering::Relaxed),
-            shard_ewma_mbps: self.inner.io.profile.snapshot_mbps(),
-            shard_bytes: self.shard_bytes(),
-        }
-    }
-
-    /// Re-plan the adaptive placement from the observed per-shard
-    /// bandwidth EWMAs and the per-batch visit counts, then migrate every
-    /// batch whose planned shard is meaningfully faster than its current
-    /// one ([`REBALANCE_HYSTERESIS`]). Returns the number of batches
-    /// migrated.
-    ///
-    /// Migration is append-and-repoint: the batch's bytes are copied to
-    /// the end of the target shard file and the segment repointed, so
-    /// reads already in flight against the old location still return
-    /// the right bytes — the pipeline never has to drain. Skipped until
-    /// every shard has at least one profiler observation (there is
-    /// nothing measured to plan by before that).
-    pub fn rebalance(&self) -> usize {
-        let inner = &self.inner;
-        let n_shards = inner.shard_paths.len();
-        if n_shards < 2 {
-            return 0;
-        }
-        if (0..n_shards).any(|s| inner.io.profile.samples(s) == 0) {
-            return 0;
-        }
-        // The append lock doubles as the placement mutation lock: one
-        // rebalance at a time, append offsets stay consistent, and no
-        // segment can seal mid-pass, so the snapshot is consistent.
-        let mut append = lock(&inner.append);
-        inner
-            .placement_stats
-            .rebalances
-            .fetch_add(1, Ordering::Relaxed);
-        let bw: Vec<f64> = (0..n_shards)
-            .map(|s| inner.io.profile.estimate_mbps(s).unwrap_or(1.0))
-            .collect();
-        // The plan covers every spilled segment, in batch-index order.
-        let spilled: Vec<Arc<Segment>> = rlock(&inner.segments)
-            .iter()
-            .filter(|seg| seg.disk_loc().is_some())
-            .cloned()
-            .collect();
-        let locs: Vec<DiskLoc> = spilled.iter().filter_map(|s| s.disk_loc()).collect();
-        let sizes: Vec<usize> = locs.iter().map(|l| l.len).collect();
-        let hot: Vec<u64> = spilled
-            .iter()
-            .map(|s| s.visits.load(Ordering::Relaxed))
-            .collect();
-        let capacity = vec![u64::MAX; n_shards];
-        let plan = plan_adaptive(&sizes, &hot, &bw, &capacity);
-        let mut moved = 0usize;
-        let mut moved_bytes = 0u64;
-        let mut buf = Vec::new();
-        for ((&target, loc), seg) in plan.iter().zip(&locs).zip(&spilled) {
-            if target == loc.shard || bw[target] < REBALANCE_HYSTERESIS * bw[loc.shard] {
-                continue;
-            }
-            // Copy through the charged read path (migration pays the
-            // source device's bandwidth and shows up in IoStats), then
-            // append to the target shard and repoint.
-            if inner
-                .io
-                .read_range(loc.shard, loc.offset, loc.len, &mut buf)
-                .is_err()
-            {
-                continue; // keep the old location; the visit path surfaces IO errors
-            }
-            let offset = append.cursors[target];
-            if inner.io.files[target].write_all_at(&buf, offset).is_err() {
-                continue;
-            }
-            append.cursors[target] += loc.len as u64;
-            if let Body::Disk(current) = &seg.body {
-                *wlock(current) = DiskLoc {
-                    shard: target,
-                    offset,
-                    len: loc.len,
-                };
-            }
-            moved += 1;
-            moved_bytes += loc.len as u64;
-        }
-        inner
-            .placement_stats
-            .migrated_batches
-            .fetch_add(moved as u64, Ordering::Relaxed);
-        inner
-            .placement_stats
-            .migrated_bytes
-            .fetch_add(moved_bytes, Ordering::Relaxed);
-        moved
-    }
-}
-
-/// A migration must buy at least this bandwidth ratio between the target
-/// and the current shard, or the batch stays put. Keeps statistically
-/// flat profiles (every shard within noise of each other) from shuffling
-/// batches every epoch for nothing.
-pub const REBALANCE_HYSTERESIS: f64 = 1.25;
-
-/// Snapshot of the placement state
-/// ([`ShardedSpillStore::placement_report`]; the CLI prints it as the
-/// machine-parseable `placement:` line).
-#[derive(Clone, Debug)]
-pub struct PlacementReport {
-    pub policy: ShardPlacement,
-    /// Prefetch workers reading and decoding (0 when prefetch is off).
-    pub decode_workers: usize,
-    /// Adaptive rebalance passes that had profiler signal to plan with.
-    pub rebalances: u64,
-    /// Batches the adaptive planner migrated to a different shard.
-    pub migrated_batches: u64,
-    /// Bytes those migrations copied.
-    pub migrated_bytes: u64,
-    /// Per-shard EWMA bandwidth estimates in MB/s (0.0 = never observed).
-    pub shard_ewma_mbps: Vec<f64>,
-    /// Bytes of spilled batches currently assigned to each shard.
-    pub shard_bytes: Vec<u64>,
-}
-
-/// Decide which shard each spilled batch (in visit order) lands on at
-/// build time. `Adaptive` starts from the `Pack` layout (file-adjacent
-/// runs from epoch one) and diverges only once
-/// the runtime profiler has measured the shards
-/// ([`ShardedSpillStore::rebalance`]).
-pub fn place_spilled(sizes: &[usize], n_shards: usize, placement: ShardPlacement) -> Vec<usize> {
-    match placement {
-        ShardPlacement::Stripe => (0..sizes.len()).map(|i| i % n_shards).collect(),
-        ShardPlacement::Pack | ShardPlacement::Adaptive => {
-            let total: usize = sizes.iter().sum();
-            // A run must hold at least a couple of batches for adjacency
-            // to buy anything, but never so many that a shard ends up
-            // with no run at all. The byte target alone cannot guarantee
-            // the latter under skew (one huge batch closes a run while
-            // the tiny remainder never reaches the target again), so runs
-            // are additionally capped at ⌊batches/shards⌋ batches — that
-            // forces at least `n_shards` runs, and runs round-robin.
-            let avg = total.div_ceil(sizes.len().max(1));
-            let lo = (total / n_shards / PACK_RUNS_PER_SHARD).max(1);
-            let hi = (total / n_shards).max(1);
-            let run_target = (2 * avg).clamp(lo, hi.max(lo));
-            let max_run_batches = (sizes.len() / n_shards).max(1);
-            let mut shard = 0usize;
-            let mut run_bytes = 0usize;
-            let mut run_batches = 0usize;
-            let mut out = Vec::with_capacity(sizes.len());
-            for &sz in sizes {
-                out.push(shard);
-                run_bytes += sz;
-                run_batches += 1;
-                if run_bytes >= run_target || run_batches >= max_run_batches {
-                    shard = (shard + 1) % n_shards;
-                    run_bytes = 0;
-                    run_batches = 0;
-                }
-            }
-            out
-        }
-    }
-}
-
-/// The adaptive placement plan: assign every spilled batch to a shard so
-/// the estimated epoch completion time is minimized on heterogeneous
-/// devices. Batches are ranked hottest first (visit count descending,
-/// index ascending for determinism) and greedily placed on the shard with
-/// the smallest projected finish time `(assigned_bytes + size) / mbps`
-/// whose byte `capacity` the batch still fits — LPT scheduling onto
-/// machines with speeds, which packs hot bytes onto fast shards in
-/// proportion to measured bandwidth. When no shard has capacity left the
-/// batch falls back to the least-loaded-by-time shard, so every batch is
-/// always assigned exactly once.
-///
-/// Pure and deterministic: same inputs, same plan. `sizes`, `hotness` and
-/// the returned assignment are indexed by spilled-batch id; `mbps` and
-/// `capacity` by shard. Non-finite or non-positive speeds are treated as
-/// a tiny positive speed so a never-measured shard never divides by zero.
-pub fn plan_adaptive(
-    sizes: &[usize],
-    hotness: &[u64],
-    mbps: &[f64],
-    capacity: &[u64],
-) -> Vec<usize> {
-    assert_eq!(sizes.len(), hotness.len(), "one hotness count per batch");
-    assert_eq!(mbps.len(), capacity.len(), "one capacity per shard");
-    let n_shards = mbps.len();
-    assert!(n_shards > 0, "need at least one shard");
-    let speed: Vec<f64> = mbps
-        .iter()
-        .map(|&m| if m.is_finite() && m > 0.0 { m } else { 1e-6 })
-        .collect();
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(hotness[i]), i));
-    let mut load = vec![0u64; n_shards];
-    let mut out = vec![0usize; sizes.len()];
-    for i in order {
-        let sz = sizes[i] as u64;
-        let finish = |s: usize| (load[s] + sz) as f64 / speed[s];
-        let mut best: Option<usize> = None;
-        for s in 0..n_shards {
-            if load[s] + sz > capacity[s] {
-                continue;
-            }
-            if best.is_none_or(|b| finish(s) < finish(b)) {
-                best = Some(s);
-            }
-        }
-        // Capacity exhausted everywhere: least projected finish time wins
-        // (coverage beats the capacity hint — every batch must land).
-        let s = best.unwrap_or_else(|| {
-            (0..n_shards)
-                .min_by(|&a, &b| finish(a).total_cmp(&finish(b)))
-                .unwrap()
-        });
-        load[s] += sz;
-        out[i] = s;
-    }
-    out
 }
 
 impl BatchProvider for ShardedSpillStore {
@@ -1598,22 +1273,11 @@ impl BatchProvider for ShardedSpillStore {
         match &seg.body {
             Body::Memory(b) => f(b, &seg.labels),
             Body::Disk(loc) => {
-                // Hotness signal for the adaptive planner.
-                seg.record_visit();
-                let loc = *rlock(loc);
-                let b = self.fetch(idx, loc);
+                let b = self.fetch(idx, *loc);
                 f(&b, &seg.labels);
                 // Only after the visitor is done with the batch.
                 self.inner.mark_consumed(idx);
             }
-        }
-    }
-
-    /// Epoch-boundary feedback from the trainer: the adaptive planner
-    /// re-packs hot batches onto the shards measured fastest.
-    fn end_epoch(&self) {
-        if self.placement == ShardPlacement::Adaptive {
-            self.rebalance();
         }
     }
 }
@@ -1649,12 +1313,6 @@ mod tests {
     fn dataset() -> (DenseMatrix, Vec<f64>) {
         let ds = generate_preset(DatasetPreset::CensusLike, 600, 21);
         (ds.x, ds.labels)
-    }
-
-    /// A fault plan that only simulates stable devices at `mbps`.
-    fn stable_devices(mbps: &[f64]) -> crate::testing::FaultPlan {
-        use crate::testing::{DeviceProfile, FaultPlan};
-        FaultPlan::device(mbps.iter().map(|&m| DeviceProfile::stable(m)).collect())
     }
 
     /// The single-spill-file configuration.
@@ -1771,7 +1429,7 @@ mod tests {
             .iter()
             .map(|seg| match &seg.body {
                 Body::Memory(b) => b.size_bytes() as u64,
-                Body::Disk(loc) => rlock(loc).len as u64,
+                Body::Disk(loc) => loc.len as u64,
             })
             .sum()
     }
@@ -1823,16 +1481,38 @@ mod tests {
     #[test]
     fn sharded_store_stripes_across_shard_files() {
         let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Toc, 100, 0).with_shards(3);
+        let dir = std::env::temp_dir().join(format!("toc-stripe-{}", std::process::id()));
+        let config = StoreConfig::new(Scheme::Toc, 100, 0)
+            .with_shards(3)
+            .with_spill_dir(dir.clone());
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
         assert_eq!(store.num_batches(), 6);
         assert_eq!(store.spilled_batches(), 6);
         assert_eq!(store.num_shards(), 3);
-        // Round-robin striping: every shard holds some bytes.
+        // Round-robin striping: batch i lands on shard i % 3.
+        for i in 0..6 {
+            assert_eq!(store.inner.segment(i).spill_extent().unwrap().0, i % 3);
+        }
         let per_shard = store.shard_bytes();
         assert_eq!(per_shard.len(), 3);
         assert!(per_shard.iter().all(|&b| b > 0), "{per_shard:?}");
         assert_eq!(per_shard.iter().sum::<u64>(), store.spilled_bytes() as u64);
+        // No orphan bytes: each shard file is exactly as long as the
+        // extents its segments own.
+        let files: Vec<(String, u64)> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, e.metadata().unwrap().len())
+            })
+            .collect();
+        assert_eq!(files.len(), 3, "{files:?}");
+        for (s, &bytes) in per_shard.iter().enumerate() {
+            let suffix = format!("-s{s}.bin");
+            let (_, len) = files.iter().find(|(n, _)| n.ends_with(&suffix)).unwrap();
+            assert_eq!(*len, bytes, "shard {s}: {files:?}");
+        }
         // Shard paths exist while the store lives and are removed on drop.
         let paths = store.inner.shard_paths.clone();
         assert!(paths.iter().all(|p| p.exists()));
@@ -1844,44 +1524,34 @@ mod tests {
         }
         drop(store);
         assert!(paths.iter().all(|p| !p.exists()));
+        let _ = fs::remove_dir(&dir);
     }
 
+    /// A checkpoint entry whose `offset + len` overflows `u64` must be
+    /// rejected as invalid data: with wrapping addition it would pass the
+    /// cursor check and point a read far past the shard file.
     #[test]
-    fn pack_placement_keeps_consecutive_batches_file_adjacent() {
-        let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Toc, 100, 0)
-            .with_shards(2)
-            .with_placement(ShardPlacement::Pack);
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert_eq!(store.spilled_batches(), 6);
-        // Within a run, consecutive visit-order batches are back to back
-        // in the same shard file.
-        let locs: Vec<DiskLoc> = (0..6)
-            .map(|i| store.inner.segment(i).disk_loc().unwrap())
-            .collect();
-        let mut adjacent_pairs = 0;
-        for w in locs.windows(2) {
-            if w[0].shard == w[1].shard {
-                assert_eq!(
-                    w[1].offset,
-                    w[0].offset + w[0].len as u64,
-                    "same-shard consecutive batches must be adjacent"
-                );
-                adjacent_pairs += 1;
-            }
-        }
-        assert!(adjacent_pairs >= 1, "pack produced no adjacency: {locs:?}");
-        // Still byte-exact.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, _| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-            });
-        }
-        // Every spilled byte landed somewhere.
-        assert_eq!(
-            store.shard_bytes().iter().sum::<u64>(),
-            store.spilled_bytes() as u64
-        );
+    fn resume_rejects_checkpoint_extent_that_overflows() {
+        let shard =
+            std::env::temp_dir().join(format!("toc-ckpt-overflow-{}.bin", std::process::id()));
+        fs::write(&shard, [0u8; 100]).unwrap();
+        let path = shard.to_string_lossy().into_owned();
+        let mut bytes = vec![STORE_CKPT_V1];
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(path.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(path.as_bytes());
+        bytes.extend_from_slice(&100u64.to_le_bytes()); // cursor
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // one entry
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // shard
+        bytes.extend_from_slice(&(u64::MAX - 5).to_le_bytes()); // offset
+        bytes.extend_from_slice(&16u64.to_le_bytes()); // len
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // no labels
+        let ckpt = StoreCheckpoint::from_bytes(&bytes).unwrap();
+        let config = StoreConfig::new(Scheme::Den, 10, 0).with_shards(1);
+        let result = ShardedSpillStore::open_streaming_resume(4, &config, &ckpt);
+        let _ = fs::remove_file(&shard);
+        let err = result.err().expect("overflowing extent must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
@@ -1904,7 +1574,7 @@ mod tests {
             .with_shards(2)
             .with_prefetch(3);
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert!(store.prefetch_enabled());
+        assert_eq!(store.decode_workers(), 3);
         // Each visit keeps the lookahead window ahead of it scheduled
         // (whether the visit itself was a hit or a claimed miss). Before
         // visiting batches 1–3, wait — bounded, polling the pipeline
@@ -2026,7 +1696,7 @@ mod tests {
             .with_prefetch(2);
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
         assert_eq!(store.num_shards(), 0);
-        assert!(!store.prefetch_enabled());
+        assert_eq!(store.decode_workers(), 0);
         assert_eq!(store.spilled_batches(), 0);
         for i in 0..store.num_batches() {
             store.visit(i, &mut |b, _| {
@@ -2034,140 +1704,5 @@ mod tests {
             });
         }
         assert_eq!(store.stats().snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn place_spilled_policies() {
-        // Stripe: round robin regardless of size.
-        assert_eq!(
-            place_spilled(&[10, 10, 10, 10], 2, ShardPlacement::Stripe),
-            vec![0, 1, 0, 1]
-        );
-        // Pack: equal sizes, 2 shards, 8 batches → run target 2·avg=20,
-        // so pairs of consecutive batches stay file-adjacent.
-        assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack),
-            vec![0, 0, 1, 1, 0, 0, 1, 1]
-        );
-        // Pack with small batches: several consecutive batches share a
-        // run before it closes.
-        let a = place_spilled(&[1; 80], 2, ShardPlacement::Pack);
-        assert_eq!(a.len(), 80);
-        // run target = 80/2/4 = 10 → runs of 10 consecutive batches.
-        assert_eq!(&a[..10], &[0; 10]);
-        assert_eq!(&a[10..20], &[1; 10]);
-        // Bytes balance across shards.
-        assert_eq!(a.iter().filter(|&&s| s == 0).count(), 40);
-        // Skewed sizes: one huge batch must not starve later shards — the
-        // batch-count run cap guarantees every shard still gets a run.
-        let a = place_spilled(&[1000, 1, 1, 1], 4, ShardPlacement::Pack);
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        for n_shards in 1..=4 {
-            for sizes in [&[7usize, 900, 3, 3, 3, 900, 1][..], &[5; 9][..]] {
-                let a = place_spilled(sizes, n_shards, ShardPlacement::Pack);
-                for s in 0..n_shards {
-                    assert!(a.contains(&s), "shard {s} empty: {a:?} ({sizes:?})");
-                }
-            }
-        }
-        // Adaptive starts from the pack layout.
-        assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Adaptive),
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack)
-        );
-    }
-
-    #[test]
-    fn plan_adaptive_packs_hot_bytes_onto_fast_shards() {
-        // Equal sizes, flat hotness: load splits roughly proportional to
-        // measured speed (400 of 500 MB/s → ~80% of batches on shard 0).
-        let sizes = vec![10usize; 100];
-        let hot = vec![1u64; 100];
-        let bw = [400.0, 50.0, 50.0];
-        let caps = [u64::MAX; 3];
-        let plan = plan_adaptive(&sizes, &hot, &bw, &caps);
-        assert_eq!(plan.len(), 100);
-        assert!(plan.iter().all(|&s| s < 3));
-        let on_fast = plan.iter().filter(|&&s| s == 0).count();
-        assert!((70..=90).contains(&on_fast), "{on_fast}");
-        // Deterministic: same inputs, same plan.
-        assert_eq!(plan, plan_adaptive(&sizes, &hot, &bw, &caps));
-        // The hottest batch lands on the fastest shard.
-        let plan2 = plan_adaptive(&[5; 4], &[0, 0, 9, 0], &[100.0, 1.0], &[u64::MAX; 2]);
-        assert_eq!(plan2[2], 0);
-        // Capacity respected: the fast shard only has room for one batch,
-        // so the other overflows to the slow one despite the speed gap.
-        let plan3 = plan_adaptive(&[10, 10], &[1, 1], &[1000.0, 1.0], &[10, 100]);
-        assert_eq!(plan3.iter().filter(|&&s| s == 0).count(), 1);
-        // Infeasible capacity still assigns every batch (coverage wins).
-        let plan4 = plan_adaptive(&[10, 10], &[1, 1], &[1.0, 1.0], &[0, 0]);
-        assert_eq!(plan4.len(), 2);
-        // Degenerate speeds must not divide by zero.
-        let _ = plan_adaptive(&[1], &[0], &[0.0], &[u64::MAX]);
-    }
-
-    #[test]
-    fn adaptive_rebalance_migrates_to_fast_shard_and_stays_byte_identical() {
-        let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Den, 100, 0)
-            .with_shards(2)
-            .with_placement(ShardPlacement::Adaptive)
-            .with_fault_plan(stable_devices(&[2000.0, 10.0]));
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert_eq!(store.spilled_batches(), 6);
-        let initial = store.shard_bytes();
-        assert!(initial.iter().all(|&b| b > 0), "{initial:?}");
-        // Before any observation a rebalance has no signal and must no-op.
-        assert_eq!(store.rebalance(), 0);
-        assert_eq!(store.placement_report().rebalances, 0);
-        // Epoch 1 observes both shards; the boundary rebalance must pull
-        // (nearly) everything onto the 200×-faster shard 0.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |_, _| {});
-        }
-        store.end_epoch();
-        let rep = store.placement_report();
-        assert_eq!(rep.policy, ShardPlacement::Adaptive);
-        assert_eq!(rep.rebalances, 1);
-        assert!(rep.migrated_batches >= 1, "{rep:?}");
-        assert!(rep.migrated_bytes >= 1, "{rep:?}");
-        assert!(rep.shard_ewma_mbps[0] > rep.shard_ewma_mbps[1], "{rep:?}");
-        assert!(rep.shard_bytes[0] > rep.shard_bytes[1], "{rep:?}");
-        assert_eq!(
-            rep.shard_bytes.iter().sum::<u64>(),
-            store.spilled_bytes() as u64
-        );
-        // Migration never changes a byte: every batch still decodes to
-        // exactly its source rows.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, labels| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-                assert_eq!(labels, &y[i * 100..(i + 1) * 100]);
-            });
-        }
-        // A second epoch over the settled layout stays settled (the plan
-        // is deterministic and the hysteresis kills noise moves).
-        store.end_epoch();
-        let again = store.placement_report();
-        assert_eq!(again.migrated_batches, rep.migrated_batches);
-    }
-
-    #[test]
-    fn non_adaptive_placements_never_rebalance_on_end_epoch() {
-        let (x, y) = dataset();
-        for placement in [ShardPlacement::Stripe, ShardPlacement::Pack] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_placement(placement)
-                .with_fault_plan(stable_devices(&[2000.0, 10.0]));
-            let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-            for i in 0..store.num_batches() {
-                store.visit(i, &mut |_, _| {});
-            }
-            store.end_epoch();
-            let rep = store.placement_report();
-            assert_eq!(rep.rebalances, 0, "{placement}");
-            assert_eq!(rep.migrated_batches, 0, "{placement}");
-        }
     }
 }

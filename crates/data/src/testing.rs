@@ -74,8 +74,7 @@ pub struct FaultPlan {
     /// shard count (one profile = a uniform device model). Empty = real
     /// IO with no simulated delay. This is how heterogeneous storage
     /// tiers — a fast NVMe shard next to slow network volumes — enter the
-    /// model that the adaptive placement planner then has to discover at
-    /// runtime.
+    /// model; the per-shard bandwidth EWMAs then measure them at runtime.
     pub device_profiles: Vec<DeviceProfile>,
     /// Observability counters (shared through clones of the plan).
     pub stats: FaultStats,
@@ -233,8 +232,8 @@ pub struct DeviceProfile {
     /// Simulated read bandwidth for this device, in MB/s.
     pub mbps: f64,
     /// Fraction of the current bandwidth lost after each physical read
-    /// (`0.0` = stable device). Models a degrading/oversubscribed device:
-    /// the planner must notice the EWMA falling and migrate away.
+    /// (`0.0` = stable device). Models a degrading/oversubscribed device,
+    /// whose falling speed the shard's bandwidth EWMA tracks.
     pub degrade: f64,
 }
 

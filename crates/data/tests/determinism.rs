@@ -1,22 +1,21 @@
 //! End-to-end determinism: the same seed must produce a **bit-identical**
 //! training run regardless of where the batches physically live or which
 //! IO path serves them. Six store configurations — in-memory, single
-//! spill file, sharded, sharded+prefetch, and two adaptive-placement legs
-//! with prefetch over asymmetric shards (one stable, one with a degrading
-//! device) — feed the identical batch stream, so the final weights
-//! *and* the per-epoch error trajectory must agree with `==`, not a
-//! tolerance. The adaptive legs migrate batches between shards mid-run
-//! (the trainer fires `end_epoch` after every pass), which must never
-//! change a byte of what the trainer sees.
+//! spill file, sharded, sharded+prefetch, and two prefetch legs over
+//! simulated asymmetric shards (one stable, one with a degrading device)
+//! — feed the identical batch stream, so the final weights *and* the
+//! per-epoch error trajectory must agree with `==`, not a tolerance.
+//! Device speed may change *when* the prefetch workers deliver a batch,
+//! never a byte of what the trainer sees.
 
-use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_data::{DeviceProfile, FaultPlan};
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
 
-/// The asymmetric device model of the adaptive legs: a fast shard, a
+/// The asymmetric device model of the degrading legs: a fast shard, a
 /// degrading one and a slow one.
 fn degrading_devices() -> Vec<DeviceProfile> {
     vec![
@@ -98,25 +97,22 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shards(3)
                 .with_prefetch(3),
         ),
-        // Adaptive placement over asymmetric shards: the 10× bandwidth
-        // skew forces real migrations at every epoch boundary while the
-        // trainer is mid-run.
+        // Prefetch over asymmetric shards: the 10× bandwidth skew makes
+        // the workers finish batches out of visit order.
         (
-            "adaptive+prefetch",
+            "prefetch-asymmetric",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_placement(ShardPlacement::Adaptive)
                 .with_fault_plan(FaultPlan::device(
                     [900.0, 90.0, 90.0].map(DeviceProfile::stable).to_vec(),
                 )),
         ),
         (
-            "adaptive+prefetch-degrading",
+            "prefetch-degrading",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_placement(ShardPlacement::Adaptive)
                 .with_fault_plan(FaultPlan::device(degrading_devices())),
         ),
     ];
@@ -150,10 +146,9 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 }
 
 /// Multi-tenant determinism: 8 jobs with distinct seeds train
-/// concurrently over ONE shared adaptive store — read faults on every
-/// spill read (tenant cache misses included), asymmetric degrading
-/// devices, adaptive migrations firing at every epoch boundary of every
-/// job, and a shared compressed-batch cache small enough to churn. Every
+/// concurrently over ONE shared store — read faults on every spill read
+/// (tenant cache misses included), asymmetric degrading devices, and a
+/// shared compressed-batch cache small enough to churn. Every
 /// job's final weights AND loss curve must be `==` to its solo run on a
 /// fresh store of the same configuration: concurrency, cache hits,
 /// eviction timing, QoS throttling and injected faults may change *when*
@@ -171,7 +166,6 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
         StoreConfig::new(scheme, batch_rows, 0)
             .with_shards(3)
             .with_prefetch(3)
-            .with_placement(ShardPlacement::Adaptive)
             .with_fault_plan(FaultPlan {
                 device_profiles: degrading_devices(),
                 ..plan
@@ -260,12 +254,11 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
 /// Online training over a *streaming* store must be bit-identical to the
 /// same online pass over a fully materialized store: the live run
 /// ingests chunks through the fault-injecting append path (chunked short
-/// writes + latency) while the online trainer, TWO extra tenant reader
-/// threads, and the adaptive migrator (repointing sealed segments across
-/// asymmetric shards at every window boundary) all run concurrently.
-/// Ingest timing, injected write faults, concurrent readers and
-/// migrations may change *when* a segment is consumed or *where* its
-/// bytes live — never the per-window loss curve or the final weights.
+/// writes + latency) over asymmetric, degrading shards while the online
+/// trainer and TWO extra tenant reader threads run concurrently. Ingest
+/// timing, injected write faults, device speed and concurrent readers
+/// may change *when* a segment is consumed — never the per-window loss
+/// curve or the final weights.
 #[test]
 fn online_training_over_streaming_store_matches_materialized() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -286,7 +279,6 @@ fn online_training_over_streaming_store_matches_materialized() {
     let config = || {
         StoreConfig::new(scheme, batch_rows, 0)
             .with_shards(3)
-            .with_placement(ShardPlacement::Adaptive)
             .with_fault_plan(FaultPlan {
                 device_profiles: degrading_devices(),
                 ..FaultPlan::seeded(0xF011)
@@ -299,7 +291,7 @@ fn online_training_over_streaming_store_matches_materialized() {
     let reference = trainer.train_online(&spec, &materialized, window, &mut || false);
     assert_eq!(reference.consumed, 8);
 
-    // Live run: ingest, online trainer, two tenant readers, migrator.
+    // Live run: ingest, online trainer, two tenant readers.
     let store = ShardedSpillStore::open_streaming(ds.x.cols(), &config()).unwrap();
     let done = AtomicBool::new(false);
     let live = std::thread::scope(|s| {

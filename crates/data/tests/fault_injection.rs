@@ -234,12 +234,12 @@ fn ingest_under_write_faults_seals_decodable_segments() {
 /// The full streaming triangle under faults: a writer process appends a
 /// CSV in torn bursts (rows split across writes), a follower tails the
 /// file on disk and pushes rows through `StoreIngest` with the
-/// fault-injecting chunked-write append path, and a reader keeps calling
-/// `end_epoch` so `Adaptive` rebalance repeatedly races the in-flight
-/// appends. Nothing the race can produce may drop, duplicate, reorder or
-/// corrupt a row.
+/// fault-injecting chunked-write append path, and two readers keep
+/// sweeping every sealed batch (forward and backward) while the appends
+/// are in flight. Nothing the race can produce may drop, duplicate,
+/// reorder or corrupt a row.
 #[test]
-fn tail_follow_races_adaptive_rebalance_under_faults() {
+fn tail_follow_races_concurrent_readers_under_faults() {
     use std::io::Write as _;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
@@ -272,12 +272,11 @@ fn tail_follow_races_adaptive_rebalance_under_faults() {
     let chunk_rows = 16;
     let config = StoreConfig::new(Scheme::Toc, chunk_rows, 0)
         .with_shards(3)
-        .with_placement(toc_data::ShardPlacement::Adaptive)
         .with_fault_plan(plan);
     let store = ShardedSpillStore::open_streaming(cols - 1, &config).unwrap();
 
     let writer_done = AtomicBool::new(false);
-    let mut rebalances = 0usize;
+    let ingest_done = AtomicBool::new(false);
     std::thread::scope(|s| {
         // Writer: append the CSV in deterministic uneven bursts that tear
         // rows across write() calls, so the follower keeps hitting
@@ -331,20 +330,28 @@ fn tail_follow_races_adaptive_rebalance_under_faults() {
             ing.finish().unwrap()
         });
 
-        // Reader: sweep whatever is sealed so the planner has heat to act
-        // on, then end the epoch — an Adaptive rebalance racing the
-        // writer's next append.
+        // Readers: sweep whatever is sealed, racing the writer's next
+        // append — one backward on its own thread, one forward here.
+        let (store_ref, done_ref) = (&store, &ingest_done);
+        let backward = s.spawn(move || {
+            while !done_ref.load(Ordering::Acquire) {
+                for i in (0..store_ref.num_batches()).rev() {
+                    store_ref.visit(i, &mut |_, _| {});
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
         while !follower.is_finished() {
             for i in 0..store.num_batches() {
                 store.visit(i, &mut |_, _| {});
             }
-            rebalances += store.rebalance();
             std::thread::sleep(Duration::from_millis(2));
         }
         let stats = follower.join().unwrap();
+        ingest_done.store(true, Ordering::Release);
+        backward.join().unwrap();
         assert_eq!(stats.rows, total as u64);
     });
-    let _ = rebalances; // may legitimately be 0 on a uniform device model
 
     // Every row survived the race, in order, with its label.
     assert_eq!(store.num_batches(), total.div_ceil(chunk_rows));

@@ -4,7 +4,7 @@
 //! the `IoStats` totals must add up exactly. Run it in release too — the
 //! CI has a `cargo test --release` job precisely for these.
 
-use toc_data::store::{ShardPlacement, ShardedSpillStore, StoreConfig};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::BatchProvider;
@@ -26,15 +26,10 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
         })
         .collect();
 
-    for (prefetch, placement) in [
-        (0usize, ShardPlacement::Stripe),
-        (6, ShardPlacement::Stripe),
-        (6, ShardPlacement::Pack),
-    ] {
+    for prefetch in [0usize, 6] {
         let config = StoreConfig::new(Scheme::Toc, BATCH_ROWS, 0)
             .with_shards(4)
-            .with_prefetch(prefetch)
-            .with_placement(placement);
+            .with_prefetch(prefetch);
         let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
         assert_eq!(store.spilled_batches(), n_batches);
         assert_eq!(store.num_shards(), 4);
@@ -80,16 +75,16 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
             // Pipeline: every spilled visit is accounted as exactly one
             // hit or miss, and consumed exactly one read; at most a
             // lookahead window of reads stays unconsumed at shutdown.
-            assert_eq!(s.spill_requests, visits, "{placement} {s:?}");
+            assert_eq!(s.spill_requests, visits, "prefetch {prefetch}: {s:?}");
             assert_eq!(
                 s.prefetch_hits + s.prefetch_misses,
                 visits,
-                "{placement} {s:?}"
+                "prefetch {prefetch}: {s:?}"
             );
-            assert!(s.disk_reads >= visits, "{placement} {s:?}");
+            assert!(s.disk_reads >= visits, "prefetch {prefetch}: {s:?}");
             assert!(
                 s.disk_reads <= visits + (8 * prefetch) as u64,
-                "{placement} {s:?}"
+                "prefetch {prefetch}: {s:?}"
             );
         }
         // No fault plan, so no simulated device: reads never sleep.

@@ -1,16 +1,10 @@
 //! Property tests for the out-of-core path: arbitrary (scheme ×
-//! batch_rows × budget × shards × prefetch × placement) configurations
-//! round-trip through spill with decode-equality against the source
-//! matrix, for both the single-file (one-shard) and the sharded store — plus the
-//! placement-plan laws every policy (build-time stripe/pack/adaptive and
-//! the runtime adaptive planner) must satisfy: cover every batch exactly
-//! once, stay inside the shard range, respect capacity when feasible,
-//! and be a deterministic function of their inputs.
+//! batch_rows × budget × shards × prefetch) configurations round-trip
+//! through spill with decode-equality against the source matrix, for
+//! both the single-file (one-shard) and the sharded store.
 
 use proptest::prelude::*;
-use toc_data::store::{
-    place_spilled, plan_adaptive, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
@@ -47,10 +41,8 @@ proptest! {
         budget_pct in 0usize..=120,
         shards in 1usize..5,
         prefetch in 0usize..4,
-        pack in proptest::prelude::any::<bool>(),
     ) {
         let scheme = Scheme::PAPER_SET[scheme_idx];
-        let placement = if pack { ShardPlacement::Pack } else { ShardPlacement::Stripe };
         let ds = generate_preset(DatasetPreset::CensusLike, rows, 17);
         let n_batches = rows.div_ceil(batch_rows);
 
@@ -66,8 +58,7 @@ proptest! {
 
         let config = StoreConfig::new(scheme, batch_rows, budget)
             .with_shards(shards)
-            .with_prefetch(prefetch)
-            .with_placement(placement);
+            .with_prefetch(prefetch);
         // The single-spill-file reference: one shard, no prefetch.
         let flat_config = StoreConfig::new(scheme, batch_rows, budget).with_shards(1);
         let flat = ShardedSpillStore::build(&ds.x, &ds.labels, &flat_config).unwrap();
@@ -99,93 +90,5 @@ proptest! {
                         if prefetch > 0 { spilled_visits } else { 0 });
         // Every spilled visit consumed one physical read.
         prop_assert!(snap.disk_reads >= spilled_visits);
-    }
-
-    /// Build-time placement plans: every batch assigned exactly once to a
-    /// real shard, deterministically, for all three policies; pack-style
-    /// policies leave no shard empty when there are enough batches.
-    #[test]
-    fn build_time_placement_plans_cover_all_batches(
-        sizes in prop::collection::vec(1usize..5000, 1..150),
-        n_shards in 1usize..6,
-    ) {
-        let n_shards = n_shards.min(sizes.len());
-        for placement in [
-            ShardPlacement::Stripe,
-            ShardPlacement::Pack,
-            ShardPlacement::Adaptive,
-        ] {
-            let plan = place_spilled(&sizes, n_shards, placement);
-            // Exactly once: one assignment per batch, all in range.
-            prop_assert_eq!(plan.len(), sizes.len(), "{}", placement);
-            prop_assert!(plan.iter().all(|&s| s < n_shards), "{}: {:?}", placement, plan);
-            // Deterministic.
-            prop_assert_eq!(&plan, &place_spilled(&sizes, n_shards, placement), "{}", placement);
-            // No shard starves at build time (the stores rely on this so
-            // every device gets profiler observations in epoch one).
-            for s in 0..n_shards {
-                prop_assert!(plan.contains(&s), "{}: shard {} empty: {:?}", placement, s, plan);
-            }
-        }
-    }
-
-    /// The runtime adaptive planner: covers every batch exactly once,
-    /// never leaves the shard range, respects byte capacities whenever
-    /// the instance is feasible, is deterministic, and sends more bytes
-    /// to a strictly faster shard than to a strictly slower one on
-    /// uniform workloads.
-    #[test]
-    fn adaptive_plans_cover_respect_capacity_and_are_deterministic(
-        sizes in prop::collection::vec(1usize..4000, 1..150),
-        shard_seed in prop::collection::vec((1u64..2000, 0u64..40), 1..6),
-        headroom in 1usize..4,
-    ) {
-        let n_shards = shard_seed.len();
-        let mbps: Vec<f64> = shard_seed.iter().map(|&(m, _)| m as f64).collect();
-        let hotness: Vec<u64> = sizes.iter().enumerate().map(|(i, _)| (i as u64 * 7) % 13).collect();
-        let total: u64 = sizes.iter().map(|&s| s as u64).sum();
-        let max_size = sizes.iter().copied().max().unwrap_or(0) as u64;
-        // Feasible capacities: an even split plus the largest batch of
-        // headroom per shard always admits a full assignment.
-        let capacity: Vec<u64> = (0..n_shards)
-            .map(|_| total.div_ceil(n_shards as u64) + headroom as u64 * max_size)
-            .collect();
-        let plan = plan_adaptive(&sizes, &hotness, &mbps, &capacity);
-        prop_assert_eq!(plan.len(), sizes.len());
-        prop_assert!(plan.iter().all(|&s| s < n_shards));
-        // Capacity respected on this feasible instance.
-        let mut load = vec![0u64; n_shards];
-        for (&s, &sz) in plan.iter().zip(&sizes) {
-            load[s] += sz as u64;
-        }
-        for s in 0..n_shards {
-            prop_assert!(load[s] <= capacity[s], "shard {} over capacity: {} > {}", s, load[s], capacity[s]);
-        }
-        // Deterministic.
-        prop_assert_eq!(&plan, &plan_adaptive(&sizes, &hotness, &mbps, &capacity));
-        // Monotone in speed (uniform batches, unconstrained): a shard
-        // measured at >=4x another's bandwidth must carry at least as
-        // many bytes.
-        if sizes.len() >= 8 {
-            let uniform = vec![64usize; sizes.len()];
-            let flat = vec![1u64; sizes.len()];
-            let open = vec![u64::MAX; n_shards];
-            let plan_u = plan_adaptive(&uniform, &flat, &mbps, &open);
-            let mut load_u = vec![0u64; n_shards];
-            for &s in &plan_u {
-                load_u[s] += 64;
-            }
-            for a in 0..n_shards {
-                for b in 0..n_shards {
-                    if mbps[a] >= 4.0 * mbps[b] {
-                        prop_assert!(
-                            load_u[a] >= load_u[b],
-                            "shard {} ({} MB/s) carries {} < shard {} ({} MB/s) with {}",
-                            a, mbps[a], load_u[a], b, mbps[b], load_u[b]
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -26,11 +26,10 @@ pub trait BatchProvider {
 
     /// Epoch-boundary feedback: the trainer calls this after every full
     /// pass over the batches, once all of that epoch's visits have
-    /// returned. Out-of-core providers use it to act on what the epoch's
-    /// visit stream taught them — the adaptive spill store re-packs hot
-    /// batches onto the shards it measured fastest. Must not change any
-    /// batch's *content*: training results are compared bit-identically
-    /// across providers. Default: no-op.
+    /// returned. A provider that keeps per-epoch state (an instrumenting
+    /// wrapper that closes a per-epoch span, say) hooks in here. Must not
+    /// change any batch's *content*: training results are compared
+    /// bit-identically across providers. Default: no-op.
     fn end_epoch(&self) {}
 }
 
@@ -277,10 +276,9 @@ impl Trainer {
                 });
             }
             train_time += t0.elapsed();
-            // Visit-order feedback to the provider (adaptive spill stores
-            // rebalance here). Excluded from `train_time` like the curve
-            // evaluation: it is maintenance between epochs, not the
-            // gradient path the paper times.
+            // Epoch-boundary hook for the provider. Excluded from
+            // `train_time` like the curve evaluation: it is bookkeeping
+            // between epochs, not the gradient path the paper times.
             data.end_epoch();
             if self.config.record_curve {
                 if let Some((eb, ey)) = eval {
@@ -308,8 +306,8 @@ impl Trainer {
     /// batches instead of stopping; once false, the remaining sealed
     /// batches drain and training ends (a final partial window is
     /// recorded). Every window boundary fires
-    /// [`BatchProvider::end_epoch`] — a window is the online analog of
-    /// an epoch — so an adaptive streaming store rebalances mid-stream.
+    /// [`BatchProvider::end_epoch`]: a window is the online analog of an
+    /// epoch.
     ///
     /// Deterministic in the consumed batch sequence: arrival *timing*
     /// (how consumption interleaves with ingest, how often the loop

@@ -167,8 +167,8 @@ pub fn train_nn_parallel_report(
             rounds += 1;
         }
         train_time += t0.elapsed();
-        // Same epoch-boundary feedback the serial trainer gives (adaptive
-        // spill stores rebalance here); excluded from train_time.
+        // Same epoch-boundary hook the serial trainer fires; excluded
+        // from train_time.
         data.end_epoch();
     }
     ParallelReport {
